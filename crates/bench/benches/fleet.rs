@@ -11,7 +11,7 @@
 //!   policy: plan, replay three epochs through `run_fleet`, roll up,
 //!   render. The baseline the recalibration machinery must not regress
 //!   against the static `sweep/smoke_single` path.
-//! - `fleet/rollup_fleet_fold` — the pure fleet-summary monoid: folding
+//! - `fleet/rollup_fleet_fold` — the pure fleet-summary fold: folding
 //!   10k decision-carrying cells and finalizing the per-epoch rollup.
 //!   This is the extra per-cell streaming cost a drifted sweep pays over
 //!   a static one.

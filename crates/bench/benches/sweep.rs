@@ -11,7 +11,7 @@
 //!   stays stable under the regression gate). Measures the full sharding
 //!   tax: double planning, serialization, parsing, coverage validation
 //!   and rollup refold.
-//! - `sweep/rollup_fold` — the pure monoid layer: folding 10k synthetic
+//! - `sweep/rollup_fold` — the pure rollup layer: folding 10k synthetic
 //!   cells into a `RunRollup` and finalizing. This is the per-cell
 //!   streaming cost the engine sink pays, isolated from the engine.
 

@@ -16,12 +16,11 @@ use paradrive_optimizer::TemplateSpec;
 use paradrive_speedlimit::{SpeedLimit, StandardSlf};
 use paradrive_weyl::WeylPoint;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use std::f64::consts::FRAC_PI_2;
 
 /// One cell of the Fig. 5 summary: the winning basis for a metric under an
 /// SLF at a 1Q duration.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig5Cell {
     /// Speed-limit name.
     pub slf: String,
@@ -76,7 +75,7 @@ fn metric_value(rows: &[DurationRow], basis: &str, metric: Metric) -> f64 {
 }
 
 /// One point of the Fig. 6 curve.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig6Point {
     /// The basis fraction `1/x` (basis is `iSWAP^(1/x)`).
     pub fraction: f64,

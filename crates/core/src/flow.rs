@@ -1,27 +1,23 @@
-//! The end-to-end transpilation comparison (Tables VI and VII).
+//! Scoring one transpiled circuit for the Table VI and VII comparisons.
 //!
-//! Route → consolidate → schedule under the baseline and optimized cost
-//! models → durations and decoherence fidelities. Both models see exactly
-//! the same routed, consolidated circuit, so the comparison isolates the
-//! decomposition rules (as in the paper).
+//! [`evaluate_with_calibration`] schedules a routed, consolidated circuit
+//! under the baseline and optimized cost models and turns both durations
+//! into decoherence fidelities. Both models see exactly the same circuit,
+//! so the comparison isolates the decomposition rules (as in the paper).
+//! Routing, best-seed selection and consolidation run in the batch engine
+//! (`paradrive-engine`), which scores every job through this function.
 
 use crate::rules::{BaselineSqrtIswap, ParallelDriveRules};
-use crate::CoreError;
-use paradrive_circuit::benchmarks::{standard_suite, Benchmark};
-use paradrive_circuit::Circuit;
 use paradrive_transpiler::calibration::Calibration;
-use paradrive_transpiler::consolidate::{consolidate, lambda_fit, Item};
+use paradrive_transpiler::consolidate::Item;
 use paradrive_transpiler::fidelity::{
     relative_improvement_pct, relative_reduction_pct, FidelityModel,
 };
-use paradrive_transpiler::routing::route_best_of;
 use paradrive_transpiler::schedule::{schedule, schedule_with_calibration, ScheduleOptions};
-use paradrive_transpiler::topology::CouplingMap;
 use paradrive_transpiler::CostModel;
-use serde::{Deserialize, Serialize};
 
 /// The transpilation outcome for one benchmark (one Table VII row).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct BenchmarkResult {
     /// Benchmark name.
     pub name: String,
@@ -46,73 +42,16 @@ pub struct BenchmarkResult {
     pub optimized_total_fidelity: f64,
 }
 
-/// Transpiles one circuit under both cost models.
-///
-/// # Errors
-///
-/// Propagates routing/consolidation failures as [`CoreError::Transpile`].
-pub fn compare_models(
-    name: &str,
-    circuit: &Circuit,
-    map: &CouplingMap,
-    routing_seeds: u64,
-    d_1q: f64,
-    fidelity: FidelityModel,
-) -> Result<BenchmarkResult, CoreError> {
-    let routed = route_best_of(circuit, map, routing_seeds)
-        .map_err(|e| CoreError::Transpile(e.to_string()))?;
-    let items = consolidate(&routed.circuit).map_err(|e| CoreError::Transpile(e.to_string()))?;
-    let baseline = BaselineSqrtIswap::new(d_1q);
-    let optimized = ParallelDriveRules::new(d_1q);
-    Ok(evaluate_consolidated(
-        name,
-        &items,
-        routed.swaps_inserted,
-        &baseline,
-        &optimized,
-        map.n_qubits(),
-        circuit.n_qubits(),
-        fidelity,
-    ))
-}
-
 /// Scores an already routed-and-consolidated circuit under a baseline and
-/// an optimized cost model — the back half of [`compare_models`], exposed
-/// so batch drivers (the `paradrive-engine` crate) share the exact same
-/// arithmetic and stay bit-for-bit comparable with the sequential path.
-#[allow(clippy::too_many_arguments)]
-pub fn evaluate_consolidated(
-    name: &str,
-    items: &[Item],
-    swaps: usize,
-    baseline: &dyn CostModel,
-    optimized: &dyn CostModel,
-    device_qubits: usize,
-    circuit_qubits: usize,
-    fidelity: FidelityModel,
-) -> BenchmarkResult {
-    evaluate_with_calibration(
-        name,
-        items,
-        swaps,
-        baseline,
-        optimized,
-        device_qubits,
-        circuit_qubits,
-        fidelity,
-        None,
-    )
-}
-
-/// [`evaluate_consolidated`] under an optional device [`Calibration`].
+/// an optimized cost model, optionally on a calibrated device.
 ///
-/// With a calibration, scheduling charges per-edge 2Q durations and
-/// per-qubit 1Q factors, and the `F_T` columns use per-wire lifetimes
-/// times the per-edge gate-error survival product (the calibration's own
-/// baseline model supersedes `fidelity` there). With `None` — or a
-/// [uniform](Calibration::uniform) calibration whose baseline equals
-/// `fidelity` — every output field is bit-identical to the homogeneous
-/// path.
+/// Without a calibration, scheduling charges the models' homogeneous
+/// durations and the `F_T` columns use `fidelity`. With one, scheduling
+/// charges per-edge 2Q durations and per-qubit 1Q factors, and the `F_T`
+/// columns use per-wire lifetimes times the per-edge gate-error survival
+/// product (the calibration's own baseline model supersedes `fidelity`
+/// there). A [uniform](Calibration::uniform) calibration whose baseline
+/// equals `fidelity` is bit-identical to `None` in every output field.
 #[allow(clippy::too_many_arguments)]
 pub fn evaluate_with_calibration(
     name: &str,
@@ -171,75 +110,8 @@ pub fn evaluate_with_calibration(
     }
 }
 
-/// Runs the full Table VII study: the standard 16-qubit suite on the 4×4
-/// lattice with best-of-`routing_seeds` routing.
-///
-/// # Errors
-///
-/// Propagates the first benchmark failure.
-pub fn run_suite(
-    workload_seed: u64,
-    routing_seeds: u64,
-    d_1q: f64,
-) -> Result<Vec<BenchmarkResult>, CoreError> {
-    let map = CouplingMap::grid(4, 4);
-    let fidelity = FidelityModel::paper();
-    standard_suite(workload_seed)
-        .into_iter()
-        .map(|Benchmark { name, circuit }| {
-            compare_models(name, &circuit, &map, routing_seeds, d_1q, fidelity)
-        })
-        .collect()
-}
-
-/// Average duration reduction across suite results (the paper's headline
-/// 17.8% number).
-pub fn average_reduction_pct(results: &[BenchmarkResult]) -> f64 {
-    if results.is_empty() {
-        return f64::NAN;
-    }
-    results
-        .iter()
-        .map(|r| r.duration_reduction_pct)
-        .sum::<f64>()
-        / results.len() as f64
-}
-
-/// Fits λ (CNOT share of CNOT+SWAP blocks) over the routed suite — the
-/// paper's Fig. 3b / Eq. 6 fit that yields λ ≈ 0.47.
-///
-/// # Errors
-///
-/// Propagates routing/consolidation failures.
-pub fn fit_lambda_over_suite(workload_seed: u64, routing_seeds: u64) -> Result<f64, CoreError> {
-    let map = CouplingMap::grid(4, 4);
-    let mut cnot_weight = 0.0;
-    let mut total_weight = 0.0;
-    for Benchmark { circuit, .. } in standard_suite(workload_seed) {
-        let routed = route_best_of(&circuit, &map, routing_seeds)
-            .map_err(|e| CoreError::Transpile(e.to_string()))?;
-        let items =
-            consolidate(&routed.circuit).map_err(|e| CoreError::Transpile(e.to_string()))?;
-        if let Some(lambda) = lambda_fit(&items) {
-            // Weight by the number of CNOT+SWAP blocks in this workload.
-            let hist = paradrive_transpiler::consolidate::class_histogram(&items);
-            let w: usize = hist
-                .iter()
-                .filter(|(n, _)| n == "CNOT" || n == "SWAP")
-                .map(|(_, c)| *c)
-                .sum();
-            cnot_weight += lambda * w as f64;
-            total_weight += w as f64;
-        }
-    }
-    if total_weight == 0.0 {
-        return Err(CoreError::Transpile("no CNOT/SWAP blocks found".into()));
-    }
-    Ok(cnot_weight / total_weight)
-}
-
 /// One Table VI row: gate infidelity baseline vs optimized.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct InfidelityRow {
     /// Target name.
     pub target: String,
@@ -302,13 +174,36 @@ pub fn gate_infidelities(d_1q: f64, fidelity: FidelityModel) -> Vec<InfidelityRo
 #[cfg(test)]
 mod tests {
     use super::*;
-    use paradrive_circuit::benchmarks;
+    use paradrive_circuit::{benchmarks, Circuit};
+    use paradrive_transpiler::consolidate::consolidate;
+    use paradrive_transpiler::routing::route_best_of;
+    use paradrive_transpiler::topology::CouplingMap;
+
+    /// Routes `circuit` best-of-3 onto the 4×4 lattice, consolidates it
+    /// and scores it at D[1Q] = 0.25, optionally on a calibrated device.
+    fn route_and_score(
+        name: &str,
+        circuit: &Circuit,
+        cal: Option<&Calibration>,
+    ) -> BenchmarkResult {
+        let routed = route_best_of(circuit, &CouplingMap::grid(4, 4), 3).unwrap();
+        let items = consolidate(&routed.circuit).unwrap();
+        evaluate_with_calibration(
+            name,
+            &items,
+            routed.swaps_inserted,
+            &BaselineSqrtIswap::new(0.25),
+            &ParallelDriveRules::new(0.25),
+            16,
+            16,
+            FidelityModel::paper(),
+            cal,
+        )
+    }
 
     #[test]
     fn ghz_improves_under_parallel_drive() {
-        let map = CouplingMap::grid(4, 4);
-        let c = benchmarks::ghz(16);
-        let r = compare_models("GHZ", &c, &map, 3, 0.25, FidelityModel::paper()).unwrap();
+        let r = route_and_score("GHZ", &benchmarks::ghz(16), None);
         assert!(r.optimized_duration < r.baseline_duration);
         assert!(r.duration_reduction_pct > 5.0, "{r:?}");
         assert!(r.ft_improvement_pct > 0.0);
@@ -318,9 +213,7 @@ mod tests {
     fn qft_improves_substantially() {
         // QFT is full of small controlled phases — fractional parallel-drive
         // pulses shine here.
-        let map = CouplingMap::grid(4, 4);
-        let c = benchmarks::qft(16);
-        let r = compare_models("QFT", &c, &map, 3, 0.25, FidelityModel::paper()).unwrap();
+        let r = route_and_score("QFT", &benchmarks::qft(16), None);
         assert!(
             r.duration_reduction_pct > 10.0,
             "reduction {}",
@@ -330,35 +223,10 @@ mod tests {
 
     #[test]
     fn calibrated_uniform_evaluation_is_bit_identical() {
-        let map = CouplingMap::grid(4, 4);
         let c = benchmarks::ghz(16);
-        let routed = route_best_of(&c, &map, 3).unwrap();
-        let items = consolidate(&routed.circuit).unwrap();
-        let baseline = BaselineSqrtIswap::new(0.25);
-        let optimized = ParallelDriveRules::new(0.25);
-        let fidelity = FidelityModel::paper();
-        let legacy = evaluate_consolidated(
-            "GHZ",
-            &items,
-            routed.swaps_inserted,
-            &baseline,
-            &optimized,
-            16,
-            16,
-            fidelity,
-        );
-        let cal = Calibration::uniform(&map, fidelity);
-        let calibrated = evaluate_with_calibration(
-            "GHZ",
-            &items,
-            routed.swaps_inserted,
-            &baseline,
-            &optimized,
-            16,
-            16,
-            fidelity,
-            Some(&cal),
-        );
+        let cal = Calibration::uniform(&CouplingMap::grid(4, 4), FidelityModel::paper());
+        let legacy = route_and_score("GHZ", &c, None);
+        let calibrated = route_and_score("GHZ", &c, Some(&cal));
         assert_eq!(
             legacy.baseline_duration.to_bits(),
             calibrated.baseline_duration.to_bits()
@@ -379,31 +247,13 @@ mod tests {
 
     #[test]
     fn hotspot_calibration_penalizes_total_fidelity() {
-        let map = CouplingMap::grid(4, 4);
         let c = benchmarks::qft(16);
-        let routed = route_best_of(&c, &map, 3).unwrap();
-        let items = consolidate(&routed.circuit).unwrap();
-        let baseline = BaselineSqrtIswap::new(0.25);
-        let optimized = ParallelDriveRules::new(0.25);
-        let fidelity = FidelityModel::paper();
-        let eval = |cal: Option<&Calibration>| {
-            evaluate_with_calibration(
-                "QFT",
-                &items,
-                routed.swaps_inserted,
-                &baseline,
-                &optimized,
-                16,
-                16,
-                fidelity,
-                cal,
-            )
-        };
-        let clean = eval(None);
+        let clean = route_and_score("QFT", &c, None);
         // Every edge dead would be extreme; 6 seeded hotspots on a QFT that
         // blankets the lattice will almost surely be crossed.
-        let cal = Calibration::hotspot(&map, fidelity, 6, 3).unwrap();
-        let hot = eval(Some(&cal));
+        let cal =
+            Calibration::hotspot(&CouplingMap::grid(4, 4), FidelityModel::paper(), 6, 3).unwrap();
+        let hot = route_and_score("QFT", &c, Some(&cal));
         assert!(
             hot.optimized_total_fidelity < clean.optimized_total_fidelity,
             "hotspot {} should cost fidelity vs clean {}",
@@ -428,16 +278,5 @@ mod tests {
         let haar = get("E[Haar]");
         assert!((haar.baseline - 0.0038).abs() < 2e-4);
         assert!((haar.optimized - 0.0034).abs() < 2e-4);
-    }
-
-    #[test]
-    fn lambda_fit_is_near_half() {
-        // The paper fits λ ≈ 0.47 from its workloads; our router/suite
-        // should land in the same neighbourhood.
-        let lambda = fit_lambda_over_suite(7, 2).unwrap();
-        assert!(
-            (0.25..0.75).contains(&lambda),
-            "λ = {lambda} far from the paper's 0.47"
-        );
     }
 }

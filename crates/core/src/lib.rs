@@ -7,10 +7,12 @@
 //!   duration, score candidate basis gates by `E[D[Haar]]`, `D[CNOT]`,
 //!   `D[SWAP]` and the workload-weighted `D[W(λ)]` (Eqs. 5–7, Tables II–III,
 //!   Figs. 5–6), and pick the best drive ratio.
-//! - **Transpilation** ([`flow`]): route the benchmark suite onto the 4×4
-//!   lattice, consolidate into 2Q blocks, and charge each block either the
-//!   baseline analytic √iSWAP decomposition or the parallel-drive optimized
-//!   rules ([`rules`]), then compare durations and fidelities (Tables VI–VII).
+//! - **Transpilation** ([`flow`]): charge each consolidated 2Q block of a
+//!   routed circuit either the baseline analytic √iSWAP decomposition or
+//!   the parallel-drive optimized rules ([`rules`]), then compare
+//!   durations and fidelities (Tables VI–VII). The batch engine
+//!   (`paradrive-engine`) routes and consolidates the suite and scores
+//!   every circuit this way.
 //!
 //! # Example
 //!
@@ -34,12 +36,10 @@ pub mod flow;
 pub mod rules;
 pub mod scoring;
 
-/// Errors produced by the codesign and transpilation flows.
+/// Errors produced by the codesign flow.
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub enum CoreError {
-    /// A transpiler pass failed.
-    Transpile(String),
     /// A coverage computation failed.
     Coverage(String),
     /// A speed-limit computation failed.
@@ -49,7 +49,6 @@ pub enum CoreError {
 impl std::fmt::Display for CoreError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            CoreError::Transpile(e) => write!(f, "transpile failure: {e}"),
             CoreError::Coverage(e) => write!(f, "coverage failure: {e}"),
             CoreError::SpeedLimit(e) => write!(f, "speed-limit failure: {e}"),
         }

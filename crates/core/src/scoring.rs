@@ -5,10 +5,9 @@ use crate::CoreError;
 use paradrive_coverage::PAPER_LAMBDA;
 use paradrive_speedlimit::{DurationScale, SpeedLimit};
 use paradrive_weyl::WeylPoint;
-use serde::{Deserialize, Serialize};
 
 /// A candidate basis gate with its decomposition-count facts (Table I).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct BasisSpec {
     /// Display name.
     pub name: String,
@@ -42,7 +41,7 @@ pub fn paper_bases() -> Vec<BasisSpec> {
 }
 
 /// One row of a duration table (Tables II / III).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct DurationRow {
     /// Basis name.
     pub basis: String,
@@ -127,7 +126,7 @@ pub fn paper_table5_reference() -> Vec<(&'static str, f64, f64, f64, f64)> {
 
 /// The basis minimizing a column of the duration table; used to summarize
 /// Fig. 5 ("which basis wins for each metric under each SLF?").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Metric {
     /// Expected Haar-random target duration.
     Haar,

@@ -7,7 +7,6 @@ use crate::CoverageError;
 use paradrive_optimizer::TemplateSpec;
 use paradrive_weyl::WeylPoint;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// The paper's CNOT:SWAP mix fitted from benchmark workloads (Section II-B):
 /// `λ = 731/(731+828) ≈ 0.47`.
@@ -95,7 +94,7 @@ pub fn build_stack<R: Rng + ?Sized>(
 }
 
 /// The `K`-count scores of Table I / Table IV.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct KScores {
     /// Basis name.
     pub basis: String,
@@ -142,7 +141,7 @@ pub fn k_scores(stack: &CoverageStack, haar: &[WeylPoint], lambda: f64) -> KScor
 }
 
 /// The duration scores of Tables II / III / V.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct DScores {
     /// Basis name.
     pub basis: String,

@@ -184,7 +184,7 @@ impl Batch {
 pub enum Costing {
     /// Query the precomputed Monte-Carlo coverage hulls
     /// ([`paradrive_core::rules::ParallelDriveRules`]) — nanoseconds per
-    /// target, identical to the pre-existing sequential flow.
+    /// target; the paper's Table VII costing.
     #[default]
     Hull,
     /// Synthesize each general target's template on demand

@@ -10,7 +10,7 @@
 //! bucket, entries are matched on the *exact bit pattern* of the query
 //! coordinates. A cached answer is therefore always the same `f64`s the
 //! wrapped model would have produced — the cached engine stays bit-for-bit
-//! identical to the uncached sequential pipeline, never "close enough".
+//! identical to the uncached one, never "close enough".
 //!
 //! **Concurrency.** The table is split into shards, each behind its own
 //! `RwLock`; lookups take a read lock, and a miss takes a short write lock
@@ -31,7 +31,7 @@ use std::sync::{Arc, OnceLock, RwLock};
 use std::time::Instant;
 
 /// Hit/miss counters and current size of a [`DecompositionCache`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CacheStats {
     /// Lookups answered from the table.
     pub hits: u64,
@@ -279,6 +279,24 @@ impl CostModel for CachedCostModel<'_> {
 
     fn name(&self) -> &str {
         self.inner.name()
+    }
+}
+
+/// Runs `f` over the model pair a scoring pass uses: each model behind its
+/// cache when `caches` is given, the bare models otherwise. Both choices
+/// score bit-identically; the caches only save decompositions.
+pub(crate) fn with_models<R>(
+    baseline: &dyn CostModel,
+    optimized: &dyn CostModel,
+    caches: Option<(&DecompositionCache, &DecompositionCache)>,
+    f: impl FnOnce(&dyn CostModel, &dyn CostModel) -> R,
+) -> R {
+    match caches {
+        Some((bcache, ocache)) => f(
+            &CachedCostModel::new(baseline, bcache),
+            &CachedCostModel::new(optimized, ocache),
+        ),
+        None => f(baseline, optimized),
     }
 }
 

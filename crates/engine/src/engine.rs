@@ -17,7 +17,7 @@
 //! [`route_best_of`]: paradrive_transpiler::routing::route_best_of
 
 use crate::batch::{Batch, Costing, EngineConfig};
-use crate::cache::{CachedCostModel, DecompositionCache};
+use crate::cache::{with_models, DecompositionCache};
 use crate::report::{BatchSummary, CircuitReport, EngineReport};
 use crate::EngineError;
 use paradrive_core::flow::evaluate_with_calibration;
@@ -25,10 +25,9 @@ use paradrive_core::rules::{BaselineSqrtIswap, ParallelDriveRules, SynthesizedPa
 use paradrive_obs::{Counter, Recorder, Trace};
 use paradrive_transpiler::consolidate::consolidate;
 use paradrive_transpiler::routing::{route_with_oracle, NoiseOracle, Routed, RouterOptions};
+use paradrive_transpiler::CostModel;
 use paradrive_transpiler::TranspileError;
-use paradrive_transpiler::{CostModel, GateCost};
 use paradrive_verify::{verify, Physical, Verification, VerifyLevel};
-use paradrive_weyl::WeylPoint;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
@@ -181,7 +180,7 @@ pub fn run_batch_streaming_with_caches(
         noise,
         seeds,
         baseline: BaselineSqrtIswap::new(config.d_1q),
-        optimized: OptimizedModel::new(config),
+        optimized: optimized_model(config),
         caches,
         next_unit: AtomicUsize::new(0),
         units_left: (0..n_jobs).map(|_| AtomicUsize::new(seeds)).collect(),
@@ -248,45 +247,13 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
-/// The optimized-side cost model, chosen by [`Costing`]. Shared with the
+/// The optimized-side cost model [`Costing`] selects. Shared with the
 /// fleet policy layer so kept-route re-scoring uses the exact model the
 /// engine's back half would.
-pub(crate) enum OptimizedModel {
-    Hull(ParallelDriveRules),
-    Synthesized(SynthesizedParallelDrive),
-}
-
-impl OptimizedModel {
-    pub(crate) fn new(config: &EngineConfig) -> Self {
-        match config.costing {
-            Costing::Hull => OptimizedModel::Hull(ParallelDriveRules::new(config.d_1q)),
-            Costing::Synthesized => {
-                OptimizedModel::Synthesized(SynthesizedParallelDrive::new(config.d_1q))
-            }
-        }
-    }
-}
-
-impl CostModel for OptimizedModel {
-    fn cost(&self, target: WeylPoint) -> GateCost {
-        match self {
-            OptimizedModel::Hull(m) => m.cost(target),
-            OptimizedModel::Synthesized(m) => m.cost(target),
-        }
-    }
-
-    fn d_1q(&self) -> f64 {
-        match self {
-            OptimizedModel::Hull(m) => m.d_1q(),
-            OptimizedModel::Synthesized(m) => m.d_1q(),
-        }
-    }
-
-    fn name(&self) -> &str {
-        match self {
-            OptimizedModel::Hull(m) => m.name(),
-            OptimizedModel::Synthesized(m) => m.name(),
-        }
+pub(crate) fn optimized_model(config: &EngineConfig) -> Box<dyn CostModel + Sync> {
+    match config.costing {
+        Costing::Hull => Box::new(ParallelDriveRules::new(config.d_1q)),
+        Costing::Synthesized => Box::new(SynthesizedParallelDrive::new(config.d_1q)),
     }
 }
 
@@ -300,7 +267,7 @@ struct Shared<'a, 'sink> {
     noise: Vec<Result<Option<NoiseOracle>, TranspileError>>,
     seeds: usize,
     baseline: BaselineSqrtIswap,
-    optimized: OptimizedModel,
+    optimized: Box<dyn CostModel + Sync>,
     caches: Option<(&'a DecompositionCache, &'a DecompositionCache)>,
     /// Cursor over the flattened `(job, seed)` routing units.
     next_unit: AtomicUsize,
@@ -439,30 +406,24 @@ impl Shared<'_, '_> {
             self.rec.add("verify.samples", *samples as u64);
         }
         let _span = stage("schedule");
-        let result = match self.caches {
-            Some((bcache, ocache)) => evaluate_with_calibration(
-                &spec.name,
-                &items,
-                best.swaps_inserted,
-                &CachedCostModel::new(&self.baseline, bcache),
-                &CachedCostModel::new(&self.optimized, ocache),
-                map.n_qubits(),
-                spec.circuit.n_qubits(),
-                self.config.fidelity,
-                cal,
-            ),
-            None => evaluate_with_calibration(
-                &spec.name,
-                &items,
-                best.swaps_inserted,
-                &self.baseline,
-                &self.optimized,
-                map.n_qubits(),
-                spec.circuit.n_qubits(),
-                self.config.fidelity,
-                cal,
-            ),
-        };
+        let result = with_models(
+            &self.baseline,
+            self.optimized.as_ref(),
+            self.caches,
+            |baseline, optimized| {
+                evaluate_with_calibration(
+                    &spec.name,
+                    &items,
+                    best.swaps_inserted,
+                    baseline,
+                    optimized,
+                    map.n_qubits(),
+                    spec.circuit.n_qubits(),
+                    self.config.fidelity,
+                    cal,
+                )
+            },
+        );
 
         Ok(CircuitReport {
             result,
@@ -476,17 +437,6 @@ impl Shared<'_, '_> {
         })
     }
 }
-
-// `CostModel` has no `Sync` bound, so make the assumptions explicit: both
-// models are plain-old-data plus lazily initialized shared coverage
-// stacks, and the engine hands them to scoped workers by reference.
-const _: () = {
-    const fn assert_sync<T: Sync>() {}
-    assert_sync::<BaselineSqrtIswap>();
-    assert_sync::<ParallelDriveRules>();
-    assert_sync::<SynthesizedParallelDrive>();
-    assert_sync::<DecompositionCache>();
-};
 
 #[cfg(test)]
 mod tests {

@@ -13,11 +13,14 @@
 //!   batch — see the `sweep` CLI in `crates/repro`);
 //! - [`run_batch`] fans both circuits *and* the routing seeds inside each
 //!   circuit across a [`std::thread::scope`] worker pool — deterministic
-//!   and bit-for-bit identical to the sequential pipeline at any thread
-//!   count. [`run_batch_streaming`] is the constant-memory variant: each
-//!   finished [`CircuitReport`] is handed to a caller sink on the worker
-//!   that completed it, so peak report retention is O(in-flight), not
-//!   O(batch) — the entry point the sharded sweep folds through;
+//!   and bit-for-bit identical to a sequential best-of-N route,
+//!   consolidate and score pass at any thread count. It is the one
+//!   implementation of the Table VII pipeline (the `table7` CLI prints
+//!   its report). [`run_batch_streaming`] is the constant-memory
+//!   variant: each finished [`CircuitReport`] is handed to a caller sink
+//!   on the worker that completed it, so peak report retention is
+//!   O(in-flight), not O(batch) — the entry point the sharded sweep folds
+//!   through;
 //! - [`DecompositionCache`] memoizes any
 //!   [`CostModel`](paradrive_transpiler::CostModel) across the whole
 //!   batch, keyed by the quantized

@@ -24,8 +24,8 @@
 //! their decisions, plus fleet rollups (mean delivered fidelity over
 //! time, re-transpile rate, route-reuse rate per epoch). Everything
 //! deterministic is a pure function of `(jobs, config, policy)` —
-//! bit-identical at any thread count; wall clock and cache counters stay
-//! quarantined in the trace.
+//! bit-identical at any thread count; wall clock, cache counters and the
+//! trace ride alongside as diagnostics.
 //!
 //! [`CalibrationTimeline`]: paradrive_transpiler::calibration::drift::CalibrationTimeline
 //! [`Calibration::routed_survival`]: paradrive_transpiler::calibration::Calibration::routed_survival
@@ -33,8 +33,8 @@
 //! [`DecompositionCache`]: crate::DecompositionCache
 
 use crate::batch::{Batch, EngineConfig};
-use crate::cache::{CachedCostModel, DecompositionCache};
-use crate::engine::{run_batch_streaming_with_caches, OptimizedModel};
+use crate::cache::{with_models, CacheStats, DecompositionCache};
+use crate::engine::{optimized_model, run_batch_streaming_with_caches};
 use crate::report::CircuitReport;
 use crate::EngineError;
 use paradrive_circuit::Circuit;
@@ -238,6 +238,9 @@ pub struct FleetReport {
     pub threads: usize,
     /// End-to-end fleet wall clock.
     pub wall_clock: Duration,
+    /// Combined counters of the cache pair every epoch shared (`None`
+    /// with the cache disabled). Diagnostics-only, like the wall clock.
+    pub cache: Option<CacheStats>,
     /// The merged trace across every epoch's engine run: spans shifted
     /// onto one timeline, counters prefixed `epochN.`, plus per-epoch
     /// `fleet.epochN.{fresh,kept,retranspiled}` decision counters.
@@ -321,6 +324,7 @@ pub fn run_fleet(
             epochs: Vec::new(),
             threads: config.effective_threads(),
             wall_clock: started.elapsed(),
+            cache: None,
             trace,
         });
     }
@@ -347,7 +351,7 @@ pub fn run_fleet(
     // the emitted reports retain.
     let inner = config.keep_routed(true);
     let baseline = BaselineSqrtIswap::new(config.d_1q);
-    let optimized = OptimizedModel::new(config);
+    let optimized = optimized_model(config);
 
     let mut adopted: Vec<Option<Adopted>> = (0..jobs.len()).map(|_| None).collect();
     let mut epochs = Vec::with_capacity(n_epochs);
@@ -454,30 +458,25 @@ pub fn run_fleet(
                 None => {
                     let cached = adopted[j].as_ref().expect("adopted at epoch 0");
                     let cal = job.timeline.snapshot(epoch);
-                    let result = match cache_refs {
-                        Some((bcache, ocache)) => evaluate_with_calibration(
-                            &job.name,
-                            &cached.items,
-                            cached.swaps,
-                            &CachedCostModel::new(&baseline, bcache),
-                            &CachedCostModel::new(&optimized, ocache),
-                            job.map.n_qubits(),
-                            job.circuit.n_qubits(),
-                            config.fidelity,
-                            Some(cal),
-                        ),
-                        None => evaluate_with_calibration(
-                            &job.name,
-                            &cached.items,
-                            cached.swaps,
-                            &baseline,
-                            &optimized,
-                            job.map.n_qubits(),
-                            job.circuit.n_qubits(),
-                            config.fidelity,
-                            Some(cal),
-                        ),
-                    };
+                    // Scored through the same caches as the sub-batches.
+                    let result = with_models(
+                        &baseline,
+                        optimized.as_ref(),
+                        cache_refs,
+                        |base_model, opt_model| {
+                            evaluate_with_calibration(
+                                &job.name,
+                                &cached.items,
+                                cached.swaps,
+                                base_model,
+                                opt_model,
+                                job.map.n_qubits(),
+                                job.circuit.n_qubits(),
+                                config.fidelity,
+                                Some(cal),
+                            )
+                        },
+                    );
                     CircuitReport {
                         result,
                         topology: job.map.label().to_string(),
@@ -517,17 +516,11 @@ pub fn run_fleet(
         epochs.push(epoch_report);
     }
 
-    if let Some((bcache, ocache)) = cache_refs {
-        let b = bcache.stats();
-        let o = ocache.stats();
-        trace.set_counter("fleet.cache.hits", b.hits + o.hits);
-        trace.set_counter("fleet.cache.misses", b.misses + o.misses);
-    }
-
     Ok(FleetReport {
         epochs,
         threads,
         wall_clock: started.elapsed(),
+        cache: cache_refs.map(|(b, o)| b.stats().merged(o.stats())),
         trace,
     })
 }

@@ -11,8 +11,7 @@ use std::time::Duration;
 /// The outcome of one job.
 #[derive(Debug, Clone)]
 pub struct CircuitReport {
-    /// Scheduling/fidelity numbers, identical in layout to the sequential
-    /// flow's per-benchmark result.
+    /// Scheduling/fidelity numbers: the job's Table VII row.
     pub result: BenchmarkResult,
     /// Label of the coupling topology the job was routed on.
     pub topology: String,

@@ -1,12 +1,11 @@
 //! A minimal JSON parser for validating exported traces.
 //!
-//! The workspace's vendored `serde` shim is intentionally a no-op (marker
-//! traits only, no parsing), so round-trip checks — "does the Chrome
-//! export parse back?" — need a real reader. This is a small
-//! recursive-descent parser over the JSON grammar: enough to load a trace
-//! file, walk its events, and assert shape. It is used by the
-//! `trace_check` binary (CI's trace-well-formedness gate) and the
-//! exporter tests; it is not a general-purpose serde replacement.
+//! The workspace has no serialization dependency, so round-trip checks —
+//! "does the Chrome export parse back?" — need a reader of their own.
+//! This is a small recursive-descent parser over the JSON grammar: enough
+//! to load a trace file, walk its events, and assert shape. It is used by
+//! the `trace_check` binary (CI's trace-well-formedness gate) and the
+//! exporter tests; it is not a general-purpose JSON library.
 
 use std::fmt;
 

@@ -11,7 +11,7 @@ use paradrive_coverage::scores::{build_stack, BuildOptions, CONTAINMENT_TOL};
 use paradrive_optimizer::{TemplateSpec, TemplateSynthesizer};
 use paradrive_repro::header;
 use paradrive_transpiler::consolidate::consolidate;
-use paradrive_transpiler::routing::{route_with_options, RouterOptions};
+use paradrive_transpiler::routing::{route, route_with_oracle, RouterOptions};
 use paradrive_transpiler::schedule::{schedule_with, ScheduleOptions};
 use paradrive_transpiler::topology::CouplingMap;
 use paradrive_weyl::WeylPoint;
@@ -27,9 +27,10 @@ fn ablate_router_lookahead() -> AblationResult {
     for lookahead in [0usize, 2, 4, 8, 16] {
         let mut best = usize::MAX;
         for seed in 0..5 {
-            let r = route_with_options(
+            let r = route_with_oracle(
                 &qft,
                 &map,
+                None,
                 seed,
                 RouterOptions {
                     lookahead,
@@ -68,8 +69,8 @@ fn ablate_pd_segments() -> AblationResult {
 fn ablate_schedule_merging() -> AblationResult {
     header("Ablation 3 — 1Q-layer merging and virtual-Z (QFT-16, optimized flow)");
     let map = CouplingMap::grid(4, 4);
-    let routed = route_with_options(&benchmarks::qft(16), &map, 1, RouterOptions::default())
-        .map_err(|e| format!("routing QFT-16 failed: {e}"))?;
+    let routed =
+        route(&benchmarks::qft(16), &map, 1).map_err(|e| format!("routing QFT-16 failed: {e}"))?;
     let items =
         consolidate(&routed.circuit).map_err(|e| format!("consolidating QFT-16 failed: {e}"))?;
     let model = ParallelDriveRules::new(0.25);

@@ -1,5 +1,5 @@
 //! Shard execution: drives the planned grid through the streaming engine,
-//! folding each cell into the mergeable rollups as it lands.
+//! folding each cell into the order-independent rollups as it lands.
 //!
 //! This is the layer that makes the sweep's memory footprint
 //! O(in-flight) instead of O(grid): [`run_sweep_shard`] hands the engine
@@ -13,8 +13,9 @@
 //! [`super::cell`]: `--shards N --shard i` selects the cells whose
 //! ordinal ≡ i (mod N), and [`merge_reports`] recombines any complete
 //! set of shard reports into a [`SweepOutcome`] whose rendered report is
-//! byte-identical to a single-process run — the rollups are exact
-//! monoids, and the cell rows sort back into canonical ordinal order.
+//! byte-identical to a single-process run — the rollups fold cells in
+//! any order to the same bits, and the cell rows sort back into canonical
+//! ordinal order.
 
 use super::cell::{costing_label, PlannedCell, SweepCell, SweepPlan};
 use super::checkpoint::{Journal, JournalContents, Meta};
@@ -284,7 +285,7 @@ pub fn run_sweep_shard(
                 verify: verify.label(),
                 threads: fleet.threads,
                 wall_clock: fleet.wall_clock,
-                cache: None,
+                cache: fleet.cache,
                 by_topology: rollup.by_topology(),
                 by_calibration: rollup.by_calibration(),
                 verification: rollup.verification(),
@@ -436,9 +437,9 @@ pub fn run_sweep_shard(
 /// single-process run of `spec` would have produced: validates that
 /// every input carries the spec's fingerprint and a consistent shard
 /// count, that the union of cells covers the planned grid exactly once
-/// with matching digests, then refolds the rollups through the same
-/// exact monoids the live runs used — so [`SweepOutcome::render`] is
-/// byte-identical to the unsharded run.
+/// with matching digests, then refolds every cell through the same
+/// order-independent rollups the live runs used — so
+/// [`SweepOutcome::render`] is byte-identical to the unsharded run.
 ///
 /// The merged outcome carries no wall-clock state (threads 0, empty
 /// traces): timings are per-process diagnostics, and the shard traces
@@ -544,7 +545,7 @@ pub fn merge_reports(
         )));
     }
 
-    // Refold through the same monoids the live runs used.
+    // Refold through the same rollups the live runs used.
     let ordinal_to_run: HashMap<u64, usize> =
         plan.cells().iter().map(|c| (c.id.ordinal, c.run)).collect();
     let mut rollups: Vec<RunRollup> = vec![RunRollup::new(); plan.runs().len()];

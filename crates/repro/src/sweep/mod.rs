@@ -35,9 +35,9 @@
 //!   grid in canonical order, assigning every cell a stable ordinal and
 //!   a digest over its full axis tuple, anchored to a spec
 //!   [fingerprint](SweepPlan::fingerprint).
-//! - `rollup`: mergeable monoid summaries over an exact,
-//!   order-independent accumulator ([`ExactSum`]), so partial rollups
-//!   from any partition of the grid merge to identical bytes.
+//! - `rollup`: streaming summaries over an exact, order-independent
+//!   accumulator ([`ExactSum`]), so cells folded in any order — live
+//!   completions, journal restores, merged shards — give identical bytes.
 //! - `exec`: streaming shard execution — [`run_sweep_shard`] folds each
 //!   engine report into the rollups as it lands (peak retention
 //!   O(in-flight), not O(grid)), and [`merge_reports`] recombines shard

@@ -184,7 +184,11 @@ impl SweepOutcome {
                 run.wall_clock.as_secs_f64() * 1e3,
                 run.threads,
             );
-            if let Some(c) = slowest {
+            if run.fleet.is_some() {
+                // Fleet replays batch each epoch's re-transpiles together,
+                // so their cells carry no wall time of their own.
+                let _ = write!(out, "; fleet runs do not time cells");
+            } else if let Some(c) = slowest {
                 // The full deterministic cell label: the point is to know
                 // *which* cell to rerun, not just that one was slow.
                 let _ = write!(

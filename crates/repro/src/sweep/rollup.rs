@@ -1,16 +1,16 @@
-//! Mergeable monoid summaries: streaming per-run rollups that are exact
-//! and order-independent, so a sharded sweep merged from partial reports
-//! renders byte-identically to a single-process run.
+//! Order-independent summaries: streaming per-run rollups that fold cells
+//! in any order to the same bits, so a sweep renders byte-identically
+//! whatever its thread count, shard split, journal resumes, or the order
+//! `sweep merge` replays cells in.
 //!
 //! The obstacle is floating-point addition: it is not associative, so a
-//! mean accumulated in completion order (thread-dependent) or merged from
-//! per-shard partial sums (shard-dependent) would wobble in the last
-//! bits. [`ExactSum`] removes the problem at the root — it accumulates
-//! `f64`s into a 2176-bit two's-complement fixed-point register wide
-//! enough to hold any finite double exactly (2098 bits of value range
-//! plus 78 bits of carry headroom), so addition *is* associative and
-//! commutative, and the final [`ExactSum::to_f64`] performs the one and
-//! only rounding (round-half-even, like IEEE itself).
+//! mean accumulated in completion order (thread-dependent) would wobble in
+//! the last bits. [`ExactSum`] removes the problem at the root — it
+//! accumulates `f64`s into a 2176-bit two's-complement fixed-point
+//! register wide enough to hold any finite double exactly (2098 bits of
+//! value range plus 78 bits of carry headroom), so addition *is*
+//! associative and commutative, and the final [`ExactSum::to_f64`]
+//! performs the one and only rounding (round-half-even, like IEEE itself).
 
 use super::cell::SweepCell;
 use paradrive_engine::{
@@ -29,7 +29,7 @@ const LIMBS: usize = 34;
 /// 2^−1074 and adds it into a wide two's-complement register; `merge`
 /// adds two registers limb-wise. Both are exact, so any association or
 /// permutation of the same multiset of inputs produces bit-identical
-/// state — the property the sharded sweep's mergeable rollups need.
+/// state — the property the sweep's order-independent rollups need.
 /// Non-finite inputs are tallied separately and dominate the result the
 /// same way a left-to-right IEEE sum would settle (any NaN, or both
 /// infinities, is NaN; otherwise the surviving infinity wins).
@@ -120,8 +120,8 @@ impl ExactSum {
         add_limbs(&mut self.limbs, &delta);
     }
 
-    /// Folds another accumulator in — the monoid operation. Exact, so
-    /// associative and commutative.
+    /// Folds another accumulator in. Exact, so associative and
+    /// commutative.
     pub fn merge(&mut self, other: &ExactSum) {
         add_limbs(&mut self.limbs, &other.limbs);
         self.nan += other.nan;
@@ -194,8 +194,8 @@ impl ExactSum {
 }
 
 /// One rollup group keyed by an axis label — count, SWAP total and exact
-/// mean accumulators, plus the smallest member ordinal so merged groups
-/// reproduce the full grid's first-seen order.
+/// mean accumulators, plus the smallest member ordinal so groups come out
+/// in the full grid's first-seen order whatever order cells arrive in.
 #[derive(Debug, Clone)]
 struct GroupAcc {
     key: String,
@@ -213,14 +213,6 @@ impl GroupAcc {
         self.total_swaps += cell.swaps;
         self.reduction.add(cell.reduction_pct);
         self.optimized_ft.add(cell.optimized_ft);
-    }
-
-    fn merge(&mut self, other: &GroupAcc) {
-        self.first_ordinal = self.first_ordinal.min(other.first_ordinal);
-        self.circuits += other.circuits;
-        self.total_swaps += other.total_swaps;
-        self.reduction.merge(&other.reduction);
-        self.optimized_ft.merge(&other.optimized_ft);
     }
 }
 
@@ -242,16 +234,7 @@ fn absorb_into(groups: &mut Vec<GroupAcc>, key: &str, cell: &SweepCell) {
     }
 }
 
-fn merge_groups(into: &mut Vec<GroupAcc>, from: &[GroupAcc]) {
-    for g in from {
-        match into.iter_mut().find(|h| h.key == g.key) {
-            Some(h) => h.merge(g),
-            None => into.push(g.clone()),
-        }
-    }
-}
-
-/// Fleet rollup monoid for one epoch: decision counts plus the exact
+/// Fleet rollup for one epoch: decision counts plus the exact
 /// delivered-fidelity sum (all order-independent).
 #[derive(Debug, Clone)]
 struct EpochAcc {
@@ -313,7 +296,7 @@ pub struct FleetSummary {
     pub retranspile_rate: f64,
 }
 
-/// Verification rollup monoid: verdict counts plus the fidelity minimum
+/// Verification rollup: verdict counts plus the fidelity minimum
 /// (both order-independent).
 #[derive(Debug, Clone)]
 struct VerifyAcc {
@@ -342,12 +325,10 @@ impl Default for VerifyAcc {
     }
 }
 
-/// The streaming rollup state for one (costing, verification) engine run
-/// — a commutative monoid over [`SweepCell`]s: [`RunRollup::absorb`]
-/// folds one cell in as it lands (any completion order), and
-/// [`RunRollup::merge`] combines the partial rollups of different shards.
-/// Both commute with each other, so every partition of the grid
-/// finalizes to identical summaries.
+/// The streaming rollup state for one (costing, verification) engine run:
+/// [`RunRollup::absorb`] folds one [`SweepCell`] in as it lands. Absorbs
+/// commute, so any completion order — and any set of shard journals
+/// refolded by `sweep merge` — finalizes to identical summaries.
 #[derive(Debug, Clone, Default)]
 pub struct RunRollup {
     by_topology: Vec<GroupAcc>,
@@ -357,7 +338,7 @@ pub struct RunRollup {
 }
 
 impl RunRollup {
-    /// An empty rollup (the monoid identity).
+    /// An empty rollup.
     pub fn new() -> Self {
         Self::default()
     }
@@ -399,33 +380,6 @@ impl RunRollup {
                 _ => {}
             }
             acc.delivered_ft.add(cell.optimized_ft);
-        }
-    }
-
-    /// Folds another shard's partial rollup in.
-    pub fn merge(&mut self, other: &RunRollup) {
-        merge_groups(&mut self.by_topology, &other.by_topology);
-        merge_groups(&mut self.by_calibration, &other.by_calibration);
-        let (a, b) = (&mut self.verification, &other.verification);
-        a.any |= b.any;
-        a.exact += b.exact;
-        a.mps += b.mps;
-        a.sampled += b.sampled;
-        a.skipped += b.skipped;
-        a.errors += b.errors;
-        a.failed += b.failed;
-        a.min_fidelity = a.min_fidelity.min(b.min_fidelity);
-        for e in &other.fleet {
-            match self.fleet.iter_mut().find(|m| m.epoch == e.epoch) {
-                Some(m) => {
-                    m.cells += e.cells;
-                    m.fresh += e.fresh;
-                    m.kept += e.kept;
-                    m.retrans += e.retrans;
-                    m.delivered_ft.merge(&e.delivered_ft);
-                }
-                None => self.fleet.push(e.clone()),
-            }
         }
     }
 
@@ -743,8 +697,33 @@ mod tests {
         }
     }
 
+    /// Every ordering of `0..n`.
+    fn permutations(n: usize) -> Vec<Vec<usize>> {
+        if n == 0 {
+            return vec![Vec::new()];
+        }
+        let mut out = Vec::new();
+        for p in permutations(n - 1) {
+            for i in 0..=p.len() {
+                let mut q = p.clone();
+                q.insert(i, n - 1);
+                out.push(q);
+            }
+        }
+        out
+    }
+
+    /// A rollup of `cells`, absorbed in `order`.
+    fn absorbed(cells: &[SweepCell], order: &[usize]) -> RunRollup {
+        let mut r = RunRollup::new();
+        for &i in order {
+            r.absorb(&cells[i]);
+        }
+        r
+    }
+
     #[test]
-    fn rollup_groups_order_by_min_ordinal_and_merge_commutes() {
+    fn rollup_groups_order_by_min_ordinal_and_absorb_commutes() {
         let cells = [
             cell(0, "grid4x4", "uniform", 10.0),
             cell(1, "grid4x4", "hotspot2", 30.0),
@@ -769,27 +748,16 @@ mod tests {
         assert!((cal[0].mean_optimized_ft - 0.9).abs() < 1e-12);
         assert!(whole.verification().is_none());
 
-        // A 2-way shard split (even/odd ordinals) merges to the same
-        // summaries, whichever way the merge associates.
-        let mut even = RunRollup::new();
-        let mut odd = RunRollup::new();
-        for c in &cells {
-            if c.ordinal % 2 == 0 {
-                even.absorb(c);
-            } else {
-                odd.absorb(c);
-            }
-        }
-        for (a, b) in [(&even, &odd), (&odd, &even)] {
-            let mut merged = a.clone();
-            merged.merge(b);
-            assert_eq!(merged.by_topology(), whole.by_topology());
-            assert_eq!(merged.by_calibration(), whole.by_calibration());
+        // Every completion order folds to the same summaries.
+        for order in permutations(cells.len()) {
+            let r = absorbed(&cells, &order);
+            assert_eq!(r.by_topology(), topo, "{order:?}");
+            assert_eq!(r.by_calibration(), cal, "{order:?}");
         }
     }
 
     #[test]
-    fn fleet_rollup_counts_decisions_and_merge_commutes() {
+    fn fleet_rollup_counts_decisions_and_absorb_commutes() {
         // Static cells never create a fleet rollup.
         let mut plain = RunRollup::new();
         plain.absorb(&cell(0, "grid4x4", "uniform", 10.0));
@@ -830,21 +798,14 @@ mod tests {
         let grand_mean = (0.9 + 0.8 + 0.7 + 0.9 + 0.88 + 0.86) / 6.0;
         assert!((fleet.mean_delivered_ft - grand_mean).abs() < 1e-12);
 
-        // Shard-split rollups merge to the identical summary, either way
-        // the merge associates (epochs absorbed out of order on purpose).
-        let mut even = RunRollup::new();
-        let mut odd = RunRollup::new();
-        for c in cells.iter().rev() {
-            if c.ordinal % 2 == 0 {
-                even.absorb(c);
-            } else {
-                odd.absorb(c);
-            }
-        }
-        for (a, b) in [(&even, &odd), (&odd, &even)] {
-            let mut merged = a.clone();
-            merged.merge(b);
-            assert_eq!(merged.fleet().unwrap(), fleet);
+        // Every completion order, epochs interleaved included, folds to
+        // the identical summary.
+        for order in permutations(cells.len()) {
+            assert_eq!(
+                absorbed(&cells, &order).fleet().unwrap(),
+                fleet,
+                "{order:?}"
+            );
         }
     }
 
@@ -864,12 +825,9 @@ mod tests {
             width: 16,
             passed: false,
         });
-        let mut left = RunRollup::new();
-        left.absorb(&a);
-        let mut right = RunRollup::new();
-        right.absorb(&b);
-        left.merge(&right);
-        let v = left.verification().unwrap();
+        let both = [a, b];
+        let v = absorbed(&both, &[0, 1]).verification().unwrap();
+        assert_eq!(absorbed(&both, &[1, 0]).verification().unwrap(), v);
         assert_eq!((v.exact, v.sampled, v.failed), (1, 1, 1));
         assert!((v.min_fidelity - 0.5).abs() < 1e-12);
         assert!(!v.all_passed());

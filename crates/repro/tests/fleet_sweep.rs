@@ -243,3 +243,34 @@ fn drifted_report_is_thread_shard_and_resume_invariant() {
     );
     let _ = fs::remove_dir_all(&dir);
 }
+
+/// `sweep --timings` on a drifted sweep: the warm cache pair every epoch
+/// shares is reported (not "disabled"), and since fleet cells carry no
+/// wall time of their own the timings say so instead of naming a 0.0 ms
+/// "slowest" cell. Neither diagnostic reaches the deterministic render.
+#[test]
+fn drifted_timings_report_the_fleet_cache_and_untimed_cells() {
+    let mut spec = SweepSpec::smoke();
+    spec.topologies = vec!["grid4x4".into()];
+    spec.benchmarks = vec!["GHZ".into()];
+    spec.noise_aware = true;
+    spec.drift = Some("walk0.05dead1".into());
+    spec.epochs = 3;
+
+    let cached = run_sweep(&spec).unwrap();
+    let stats = cached.runs[0].cache.expect("the fleet's cache pair is on");
+    assert!(stats.hits > 0 && stats.misses > 0, "{stats:?}");
+    let timings = cached.render_timings();
+    assert!(!timings.contains("cache: disabled"), "{timings}");
+    assert!(
+        timings.contains("fleet runs do not time cells"),
+        "{timings}"
+    );
+    assert!(!timings.contains("slowest cell"), "{timings}");
+
+    spec.cache = false;
+    let uncached = run_sweep(&spec).unwrap();
+    assert!(uncached.runs[0].cache.is_none());
+    assert!(uncached.render_timings().contains("cache: disabled"));
+    assert_eq!(uncached.render(), cached.render());
+}

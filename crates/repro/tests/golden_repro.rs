@@ -1,6 +1,6 @@
 //! Golden snapshot tests for the paper-figure binaries: the committed
 //! expected output is compared **verbatim**, locking paper-figure
-//! determinism across refactors. Both binaries are seeded and print no
+//! determinism across refactors. The binaries are seeded and print no
 //! wall-clock content, so any diff is a real behavior change — update the
 //! golden file deliberately (`cargo run --release --bin <name> >
 //! crates/repro/tests/golden/<name>.txt`) when one is intended.
@@ -50,4 +50,14 @@ fn table1_output_matches_golden_snapshot() {
 #[test]
 fn fig1_output_matches_golden_snapshot() {
     run_golden(env!("CARGO_BIN_EXE_fig1"), include_str!("golden/fig1.txt"));
+}
+
+/// Pins every consolidated-class count of the routed suite and the λ of
+/// Eq. 6 computed from their totals, exactly.
+#[test]
+fn fig3b_output_matches_golden_snapshot() {
+    run_golden(
+        env!("CARGO_BIN_EXE_fig3b"),
+        include_str!("golden/fig3b.txt"),
+    );
 }

@@ -1,11 +1,10 @@
 //! The concrete Speed Limit Functions of the paper's study.
 
 use crate::{SpeedLimit, SpeedLimitError};
-use serde::{Deserialize, Serialize};
 use std::f64::consts::FRAC_PI_2;
 
 /// Linear speed limit `gc + gg ≤ L` — drives combine like voltages.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Linear {
     l: f64,
 }
@@ -61,7 +60,7 @@ impl SpeedLimit for Linear {
 }
 
 /// Squared speed limit `gc² + gg² ≤ L²` — drives combine like power.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Squared {
     l: f64,
 }
@@ -125,7 +124,7 @@ impl SpeedLimit for Squared {
 /// This stands in for experimentally measured break-point data; the
 /// [`Characterized::snail`] preset reproduces the normalized durations the
 /// paper measured for its SNAIL coupler (Table II).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Characterized {
     name: String,
     points: Vec<(f64, f64)>,
@@ -236,7 +235,7 @@ impl SpeedLimit for Characterized {
 
 /// The paper's three comparative speed limits, as an owning enum for easy
 /// iteration in experiment harnesses.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum StandardSlf {
     /// `gc + gg ≤ π/2`.
     Linear(Linear),

@@ -7,13 +7,12 @@
 //! cascade (Table VII's `F_T` column).
 
 use crate::TranspileError;
-use serde::{Deserialize, Serialize};
 
 /// Physical timing assumptions converting normalized pulse units to time.
 ///
 /// The paper's choices: `D[iSWAP] = 100 ns`, `D[1Q] = 25 ns`,
 /// `T1 = 100 µs` — consistent with transmons on a SNAIL modulator.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FidelityModel {
     /// Duration of one full iSWAP pulse, in nanoseconds.
     pub iswap_ns: f64,

@@ -6,14 +6,14 @@
 //! gates, and the best (random tie-break) is inserted. Deterministic for a
 //! fixed seed; the paper takes the best of 10 routing runs.
 //!
-//! With a [`Calibration`] ([`route_calibrated`]) the router becomes
-//! **noise-aware**: distances are replaced by effective distances over a
-//! weighted graph where crossing edge `e` costs
-//! `1 + noise_weight · (−ln(1 − error(e)))`, and edges whose error rate
-//! reaches [`RouterOptions::dead_edge_threshold`] are excluded outright —
-//! no SWAP or gate is ever scheduled on a dead edge. On a uniform
-//! calibration every weight is exactly `1.0`, and the noise-aware router
-//! reproduces the noise-blind router bit for bit.
+//! With a [`NoiseOracle`] built from a [`Calibration`]
+//! ([`route_with_oracle`]) the router becomes **noise-aware**: distances
+//! are replaced by effective distances over a weighted graph where
+//! crossing edge `e` costs `1 + noise_weight · (−ln(1 − error(e)))`, and
+//! edges whose error rate reaches [`RouterOptions::dead_edge_threshold`]
+//! are excluded outright — no SWAP or gate is ever scheduled on a dead
+//! edge. On a uniform calibration every weight is exactly `1.0`, and the
+//! noise-aware router reproduces the noise-blind router bit for bit.
 
 use crate::calibration::Calibration;
 use crate::topology::CouplingMap;
@@ -144,62 +144,31 @@ pub struct Routed {
     pub layout: Vec<usize>,
 }
 
-/// Routes a logical circuit onto the coupling map.
+/// Routes a logical circuit onto the coupling map with the default
+/// heuristics, noise-blind.
 ///
 /// # Errors
 ///
-/// Returns [`TranspileError::TooManyQubits`] when the circuit is wider than
-/// the device.
+/// As [`route_with_oracle`].
 pub fn route(circuit: &Circuit, map: &CouplingMap, seed: u64) -> Result<Routed, TranspileError> {
-    route_with_options(circuit, map, seed, RouterOptions::default())
+    route_with_oracle(circuit, map, None, seed, RouterOptions::default())
 }
 
-/// Routes with explicit heuristic options (see [`RouterOptions`]); the
-/// ablation studies sweep the lookahead window through this entry point.
+/// Routes with explicit heuristic options (see [`RouterOptions`]; the
+/// ablation studies sweep the lookahead window through them), noise-aware
+/// when given a [`NoiseOracle`]: SWAP scoring then uses effective
+/// distances that penalize high-error edges, and edges at or above
+/// [`RouterOptions::dead_edge_threshold`] never host a gate. With `None`
+/// (or an oracle built from a uniform calibration) this is exactly the
+/// noise-blind router, bit for bit. The oracle is built once per
+/// calibrated device and shared across routing seeds.
 ///
 /// # Errors
 ///
 /// Returns [`TranspileError::TooManyQubits`] when the circuit is wider than
 /// the device, and [`TranspileError::RoutingStuck`] if the SWAP heuristic
-/// fails to legalize a gate within `4 × n_qubits` insertions.
-pub fn route_with_options(
-    circuit: &Circuit,
-    map: &CouplingMap,
-    seed: u64,
-    options: RouterOptions,
-) -> Result<Routed, TranspileError> {
-    route_calibrated(circuit, map, None, seed, options)
-}
-
-/// Routes noise-aware when a [`Calibration`] is supplied: SWAP scoring
-/// uses effective distances that penalize high-error edges, and edges at
-/// or above [`RouterOptions::dead_edge_threshold`] never host a gate. With
-/// `None` (or a uniform calibration) this is exactly the noise-blind
-/// router, bit for bit.
-///
-/// # Errors
-///
-/// As [`route_with_options`]; additionally returns
-/// [`TranspileError::RoutingStuck`] when the healthy (non-dead) edges no
-/// longer connect a gate's operands.
-pub fn route_calibrated(
-    circuit: &Circuit,
-    map: &CouplingMap,
-    calibration: Option<&Calibration>,
-    seed: u64,
-    options: RouterOptions,
-) -> Result<Routed, TranspileError> {
-    let oracle = calibration.map(|cal| NoiseOracle::new(map, cal, options));
-    route_with_oracle(circuit, map, oracle.as_ref(), seed, options)
-}
-
-/// [`route_calibrated`] with a prebuilt [`NoiseOracle`], for callers that
-/// route the same calibrated device many times (one oracle per job, many
-/// seeds).
-///
-/// # Errors
-///
-/// As [`route_calibrated`].
+/// fails to legalize a gate within `4 × n_qubits` insertions or the
+/// healthy (non-dead) edges no longer connect a gate's operands.
 pub fn route_with_oracle(
     circuit: &Circuit,
     map: &CouplingMap,
@@ -369,6 +338,17 @@ mod tests {
     use paradrive_circuit::benchmarks;
     use paradrive_circuit::OneQ;
 
+    fn route_aware(
+        c: &Circuit,
+        map: &CouplingMap,
+        cal: &Calibration,
+        seed: u64,
+    ) -> Result<Routed, TranspileError> {
+        let options = RouterOptions::default();
+        let oracle = NoiseOracle::new(map, cal, options);
+        route_with_oracle(c, map, Some(&oracle), seed, options)
+    }
+
     fn all_2q_adjacent(c: &Circuit, map: &CouplingMap) -> bool {
         c.ops().iter().all(|op| match op {
             Op::TwoQ { a, b, .. } => map.are_adjacent(*a, *b),
@@ -454,8 +434,7 @@ mod tests {
         let c = benchmarks::qft(16);
         for seed in 0..4 {
             let blind = route(&c, &map, seed).unwrap();
-            let aware =
-                route_calibrated(&c, &map, Some(&cal), seed, RouterOptions::default()).unwrap();
+            let aware = route_aware(&c, &map, &cal, seed).unwrap();
             assert_eq!(blind.circuit, aware.circuit, "seed {seed}");
             assert_eq!(blind.swaps_inserted, aware.swaps_inserted);
             assert_eq!(blind.layout, aware.layout);
@@ -496,8 +475,7 @@ mod tests {
             .count();
         assert!(blind_hits > 0, "blind routing should cross the dead edge");
         for seed in 0..6 {
-            let aware =
-                route_calibrated(&c, &map, Some(&cal), seed, RouterOptions::default()).unwrap();
+            let aware = route_aware(&c, &map, &cal, seed).unwrap();
             assert!(!uses_dead(&aware), "seed {seed} touched the dead edge");
             // Still a legal routing: every 2Q op on a coupled pair.
             assert!(all_2q_adjacent(&aware.circuit, &map));
@@ -523,7 +501,7 @@ mod tests {
         );
         let mut c = Circuit::new(4);
         c.push_2q(TwoQ::Cx, 0, 3);
-        let r = route_calibrated(&c, &map, Some(&cal), 0, RouterOptions::default()).unwrap();
+        let r = route_aware(&c, &map, &cal, 0).unwrap();
         assert!(all_2q_adjacent(&r.circuit, &map));
     }
 
@@ -543,7 +521,7 @@ mod tests {
         );
         let mut c = Circuit::new(2);
         c.push_2q(TwoQ::Cx, 0, 1);
-        let r = route_calibrated(&c, &map, Some(&cal), 0, RouterOptions::default());
+        let r = route_aware(&c, &map, &cal, 0);
         assert!(matches!(r, Err(TranspileError::RoutingStuck { .. })));
     }
 }

@@ -7,7 +7,7 @@ use paradrive_circuit::{Circuit, TwoQ};
 use paradrive_transpiler::calibration::Calibration;
 use paradrive_transpiler::consolidate::consolidate;
 use paradrive_transpiler::fidelity::FidelityModel;
-use paradrive_transpiler::routing::{route, route_calibrated, RouterOptions};
+use paradrive_transpiler::routing::{route, route_with_oracle, NoiseOracle, RouterOptions};
 use paradrive_transpiler::schedule::{schedule, schedule_with_calibration, ScheduleOptions};
 use paradrive_transpiler::topology::CouplingMap;
 use paradrive_transpiler::{CostModel, GateCost};
@@ -78,7 +78,8 @@ proptest! {
         // Noise-aware routing over a uniform calibration degrades to the
         // noise-blind router: same SWAPs, same circuit, same layout.
         let blind = route(&c, &map, seed).expect("routable");
-        let aware = route_calibrated(&c, &map, Some(&cal), seed, RouterOptions::default())
+        let oracle = NoiseOracle::new(&map, &cal, RouterOptions::default());
+        let aware = route_with_oracle(&c, &map, Some(&oracle), seed, RouterOptions::default())
             .expect("routable");
         prop_assert_eq!(&blind.circuit, &aware.circuit);
         prop_assert_eq!(blind.swaps_inserted, aware.swaps_inserted);

@@ -8,7 +8,7 @@ use paradrive_transpiler::calibration::drift::{CalibrationTimeline, DriftSpec};
 use paradrive_transpiler::calibration::Calibration;
 use paradrive_transpiler::consolidate::consolidate;
 use paradrive_transpiler::fidelity::FidelityModel;
-use paradrive_transpiler::routing::{route_calibrated, RouterOptions};
+use paradrive_transpiler::routing::{route_with_oracle, NoiseOracle, RouterOptions};
 use paradrive_transpiler::schedule::{schedule_with_calibration, ScheduleOptions};
 use paradrive_transpiler::topology::CouplingMap;
 use paradrive_transpiler::{CostModel, GateCost};
@@ -106,7 +106,9 @@ proptest! {
             }
         }
         let run = |cal: &Calibration| {
-            let routed = route_calibrated(&c, &map, Some(cal), route_seed, RouterOptions::default())
+            let options = RouterOptions::default();
+            let oracle = NoiseOracle::new(&map, cal, options);
+            let routed = route_with_oracle(&c, &map, Some(&oracle), route_seed, options)
                 .expect("routable");
             let items = consolidate(&routed.circuit).expect("consolidates");
             let s = schedule_with_calibration(&items, &Jagged, 9, ScheduleOptions::default(), cal);

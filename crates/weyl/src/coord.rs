@@ -1,6 +1,5 @@
 //! The [`WeylPoint`] chamber coordinate.
 
-use serde::{Deserialize, Serialize};
 use std::f64::consts::{FRAC_PI_2, FRAC_PI_4, PI};
 use std::fmt;
 
@@ -15,7 +14,7 @@ use std::fmt;
 /// chamber, because optimizer iterates and raw coordinate arithmetic
 /// legitimately wander outside. Use [`WeylPoint::in_chamber`] to test and
 /// [`crate::magic::canonicalize`] to reduce.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct WeylPoint {
     /// First coordinate, `[0, π]` when canonical.
     pub c1: f64,

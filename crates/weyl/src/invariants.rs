@@ -10,13 +10,12 @@ use crate::coord::WeylPoint;
 use crate::magic::{magic_basis, to_su4};
 use crate::WeylError;
 use paradrive_linalg::CMat;
-use serde::{Deserialize, Serialize};
 
 /// The Makhlin invariant triple.
 ///
 /// Reference values: `I → (1, 0, 3)`, `CNOT → (0, 0, 1)`,
 /// `iSWAP → (0, 0, -1)`, `SWAP → (-1, 0, -3)`.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct MakhlinInvariants {
     /// Real part of the first invariant.
     pub g1: f64,

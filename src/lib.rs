@@ -18,8 +18,8 @@
 //! | [`circuit`] | circuit IR and the 16-qubit benchmark suite |
 //! | [`sim`] | exact statevector simulation and Quantum-Volume analysis |
 //! | [`transpiler`] | topology zoo, device calibration, (noise-aware) routing, consolidation, scheduling, fidelity |
-//! | [`core`] | baseline vs parallel-drive cost models, codesign, the full flow |
-//! | [`engine`] | batched multi-threaded transpilation with a decomposition cache |
+//! | [`core`] | baseline vs parallel-drive cost models, codesign, scoring a transpiled circuit |
+//! | [`engine`] | the Table VII pipeline: batched multi-threaded transpilation with a decomposition cache |
 //! | [`verify`] | semantic equivalence oracles: exact up-to-permutation and Monte-Carlo |
 //! | [`obs`] | deterministic tracing/metrics: per-stage spans, counters, Chrome-trace export |
 //!

@@ -2,13 +2,12 @@
 //! same pipelines the paper's evaluation uses.
 
 use paradrive::circuit::benchmarks;
-use paradrive::core::flow::compare_models;
 use paradrive::core::rules::{BaselineSqrtIswap, ParallelDriveRules};
+use paradrive::engine::{run_batch, Batch, EngineConfig};
 use paradrive::hamiltonian::{ConversionGain, ParallelDriveBuilder};
 use paradrive::optimizer::{TemplateSpec, TemplateSynthesizer};
 use paradrive::speedlimit::{Characterized, DurationScale, Linear, SpeedLimit, Squared};
 use paradrive::transpiler::consolidate::consolidate;
-use paradrive::transpiler::fidelity::FidelityModel;
 use paradrive::transpiler::routing::route_best_of;
 use paradrive::transpiler::schedule::schedule;
 use paradrive::transpiler::topology::CouplingMap;
@@ -109,20 +108,23 @@ fn schedule_duration_monotone_in_1q_cost() {
 
 #[test]
 fn optimized_flow_never_slower_across_suite_sample() {
-    let map = CouplingMap::grid(4, 4);
+    let mut batch = Batch::new(CouplingMap::grid(4, 4));
     for b in benchmarks::standard_suite(5)
         .into_iter()
         .filter(|b| matches!(b.name, "GHZ" | "VQE_L" | "QAOA"))
     {
-        let r = compare_models(b.name, &b.circuit, &map, 2, 0.25, FidelityModel::paper()).unwrap();
+        batch.push(b.name, b.circuit);
+    }
+    let report = run_batch(&batch, &EngineConfig::default().routing_seeds(2)).unwrap();
+    for r in report.circuits.iter().map(|c| &c.result) {
         assert!(
             r.optimized_duration <= r.baseline_duration + 1e-9,
             "{}: optimized {} > baseline {}",
-            b.name,
+            r.name,
             r.optimized_duration,
             r.baseline_duration
         );
-        assert!(r.duration_reduction_pct > 0.0, "{}: no gain", b.name);
+        assert!(r.duration_reduction_pct > 0.0, "{}: no gain", r.name);
     }
 }
 

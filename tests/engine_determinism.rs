@@ -1,13 +1,17 @@
 //! The batched engine must be a pure function of (batch, config): for a
 //! fixed routing-seed count, its output — durations, fidelities, routed
 //! circuits — is identical across thread counts, with the cache on or
-//! off, and bit-for-bit equal to the pre-existing sequential pipeline
-//! (`paradrive::core::flow::compare_models`).
+//! off, and bit-for-bit equal to a sequential reference built here from
+//! the pipeline's parts: `route_best_of` → `consolidate` →
+//! `evaluate_with_calibration`.
 
 use paradrive::circuit::benchmarks;
-use paradrive::core::flow::compare_models;
-use paradrive::engine::{run_batch, Batch, EngineConfig, EngineReport};
+use paradrive::core::flow::{evaluate_with_calibration, BenchmarkResult};
+use paradrive::core::rules::{BaselineSqrtIswap, ParallelDriveRules};
+use paradrive::engine::{run_batch, Batch, EngineConfig, EngineReport, Job};
+use paradrive::transpiler::consolidate::consolidate;
 use paradrive::transpiler::fidelity::FidelityModel;
+use paradrive::transpiler::routing::route_best_of;
 use paradrive::transpiler::topology::CouplingMap;
 
 const SEEDS: u64 = 4;
@@ -22,6 +26,24 @@ fn batch() -> Batch {
     b.push("QAOA", benchmarks::qaoa(16, 2, 7));
     b.push("QV", benchmarks::quantum_volume(16, 4, 7));
     b
+}
+
+/// The sequential reference: best-of-`SEEDS` routing, consolidation, and
+/// scoring under both models at D[1Q] = 0.25.
+fn sequential(job: &Job, map: &CouplingMap) -> BenchmarkResult {
+    let routed = route_best_of(&job.circuit, map, SEEDS).unwrap();
+    let items = consolidate(&routed.circuit).unwrap();
+    evaluate_with_calibration(
+        &job.name,
+        &items,
+        routed.swaps_inserted,
+        &BaselineSqrtIswap::new(0.25),
+        &ParallelDriveRules::new(0.25),
+        map.n_qubits(),
+        job.circuit.n_qubits(),
+        FidelityModel::paper(),
+        None,
+    )
 }
 
 fn assert_reports_identical(a: &EngineReport, b: &EngineReport) {
@@ -118,18 +140,10 @@ fn engine_is_deterministic_across_threads_and_cache() {
     assert_eq!(one.threads, 1);
     assert_eq!(four.threads, 4);
 
-    // And the engine agrees bit-for-bit with the pre-existing sequential
-    // pipeline on every circuit.
+    // And the engine agrees bit-for-bit with the sequential reference on
+    // every circuit.
     for (job, report) in batch.jobs().iter().zip(&one.circuits) {
-        let seq = compare_models(
-            &job.name,
-            &job.circuit,
-            batch.map(),
-            SEEDS,
-            0.25,
-            FidelityModel::paper(),
-        )
-        .unwrap();
+        let seq = sequential(job, batch.map());
         let r = &report.result;
         assert_eq!(r.swaps, seq.swaps, "{}", job.name);
         assert_eq!(r.blocks, seq.blocks, "{}", job.name);
