@@ -2,13 +2,15 @@
 //! expected output is compared **verbatim**, locking paper-figure
 //! determinism across refactors. The binaries are seeded and print no
 //! wall-clock content, so any diff is a real behavior change — update the
-//! golden file deliberately (`cargo run --release --bin <name> >
-//! crates/repro/tests/golden/<name>.txt`) when one is intended.
+//! golden file deliberately (`cargo run --release -p paradrive-repro
+//! --bin <name> -- <args> > crates/repro/tests/golden/<file>.txt`, with
+//! the arguments the test passes) when one is intended.
 
 use std::process::Command;
 
-fn run_golden(bin: &str, golden: &str) {
+fn run_golden(bin: &str, args: &[&str], golden: &str) {
     let out = Command::new(bin)
+        .args(args)
         .output()
         .unwrap_or_else(|e| panic!("failed to launch {bin}: {e}"));
     assert!(
@@ -43,13 +45,18 @@ fn run_golden(bin: &str, golden: &str) {
 fn table1_output_matches_golden_snapshot() {
     run_golden(
         env!("CARGO_BIN_EXE_table1"),
+        &[],
         include_str!("golden/table1.txt"),
     );
 }
 
 #[test]
 fn fig1_output_matches_golden_snapshot() {
-    run_golden(env!("CARGO_BIN_EXE_fig1"), include_str!("golden/fig1.txt"));
+    run_golden(
+        env!("CARGO_BIN_EXE_fig1"),
+        &[],
+        include_str!("golden/fig1.txt"),
+    );
 }
 
 /// Pins every consolidated-class count of the routed suite and the λ of
@@ -58,6 +65,46 @@ fn fig1_output_matches_golden_snapshot() {
 fn fig3b_output_matches_golden_snapshot() {
     run_golden(
         env!("CARGO_BIN_EXE_fig3b"),
+        &[],
         include_str!("golden/fig3b.txt"),
+    );
+}
+
+/// Pins every Table VII row (SWAPs, both durations, the reduction and
+/// both fidelity improvements) and the suite-mean reduction.
+#[test]
+fn table7_output_matches_golden_snapshot() {
+    run_golden(
+        env!("CARGO_BIN_EXE_table7"),
+        &[],
+        include_str!("golden/table7.txt"),
+    );
+}
+
+/// Pins a drifted fleet sweep: fresh, kept and re-transpiled cells under
+/// sampled verification, and the topology, calibration, fleet and
+/// verification rollups. Family-class benchmarks only, so no coverage
+/// stack is built.
+#[test]
+fn drifted_sweep_output_matches_golden_snapshot() {
+    run_golden(
+        env!("CARGO_BIN_EXE_sweep"),
+        &[
+            "--smoke",
+            "--topologies",
+            "grid4x4,ring16",
+            "--calibrations",
+            "spread0.2,spread0.3",
+            "--benchmarks",
+            "GHZ,VQE_L",
+            "--verify",
+            "sampled",
+            "--noise-aware",
+            "--drift",
+            "walk0.05dead1",
+            "--epochs",
+            "4",
+        ],
+        include_str!("golden/sweep_drift.txt"),
     );
 }
