@@ -21,14 +21,9 @@
 //!
 //! The JSON files are line-oriented on purpose — one entry per line — so
 //! this binary can read them back with no JSON dependency, and diffs stay
-//! reviewable.
-//!
-//! Alongside the timing entries, each refreshed file carries a
-//! `"counters"` block: a workload-characterization snapshot (cache hit
-//! rate, kernel-dispatch mix, seed attempts) taken from one in-process
-//! smoke batch run with the observability layer enabled. Counter lines
-//! use distinct field names, so older readers of the entry lines skip
-//! them untouched.
+//! reviewable. They hold timings only; per-workload work counters (cache
+//! hits, kernel mix, verify samples) come from the end-to-end benchmark's
+//! traced runs (`perfbench/`).
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, ExitCode};
@@ -108,14 +103,6 @@ fn main() -> ExitCode {
     println!("bench_report: calibrating host...");
     let calib = host_calib_ns();
     println!("bench_report: host_calib_ns = {calib:.0}");
-    // Refresh mode rewrites the files, so characterize the workload once
-    // up front; --check never writes and skips the probe.
-    let counters = if check {
-        Vec::new()
-    } else {
-        println!("bench_report: collecting counter snapshot...");
-        counter_snapshot()
-    };
 
     let mut failures: Vec<String> = Vec::new();
     for suite in &suites {
@@ -158,7 +145,7 @@ fn main() -> ExitCode {
                 )),
             }
         } else {
-            if let Err(e) = std::fs::write(&path, render(&report, &counters)) {
+            if let Err(e) = std::fs::write(&path, render(&report)) {
                 eprintln!("bench_report: cannot write {}: {e}", path.display());
                 return ExitCode::FAILURE;
             }
@@ -327,56 +314,8 @@ fn merge_min(a: &Report, b: &Report) -> Report {
     }
 }
 
-/// One in-process smoke batch (sampled verification on, the process-wide
-/// recorder enabled) distilled into the counters worth tracking next to
-/// the timings: cache hit rate, the kernel-dispatch mix the verification
-/// oracles exercised, and routing/verification volumes. The workload is
-/// fixed, so these numbers move only when the *code* changes how much
-/// work the same input costs.
-fn counter_snapshot() -> Vec<(String, f64)> {
-    use paradrive_circuit::benchmarks;
-    use paradrive_engine::{run_batch, Batch, EngineConfig, VerifyLevel};
-    use paradrive_transpiler::topology::CouplingMap;
-
-    paradrive_obs::global().set_enabled(true);
-    let mut batch = Batch::new(CouplingMap::grid(3, 3));
-    batch.push("GHZ", benchmarks::ghz(6));
-    batch.push("QFT", benchmarks::qft(5));
-    let config = EngineConfig::default()
-        .threads(2)
-        .routing_seeds(3)
-        .verify(VerifyLevel::Sampled)
-        .verify_samples(2);
-    let report = run_batch(&batch, &config).expect("counter-snapshot probe batch");
-    paradrive_obs::global().set_enabled(false);
-    let mut trace = report.trace.clone();
-    trace.merge(paradrive_obs::global().take());
-
-    let mut out = Vec::new();
-    if let Some(stats) = report.cache_stats() {
-        let total = (stats.hits + stats.misses).max(1);
-        out.push((
-            "cache.hit_rate_pct".to_string(),
-            100.0 * stats.hits as f64 / total as f64,
-        ));
-    }
-    for name in [
-        "sim.kernel.1q.scalar",
-        "sim.kernel.1q.lanes",
-        "sim.kernel.2q.scalar",
-        "sim.kernel.2q.lanes",
-        "route.seed_attempts",
-        "verify.samples",
-    ] {
-        out.push((name.to_string(), trace.counter(name).unwrap_or(0) as f64));
-    }
-    out
-}
-
-/// Renders a report in the line-oriented JSON format. Counter lines use
-/// `"counter"`/`"value"` field names — none of the keys [`load_report`]
-/// scans for — so the baseline reader skips them by construction.
-fn render(report: &Report, counters: &[(String, f64)]) -> String {
+/// Renders a report in the line-oriented JSON format.
+fn render(report: &Report) -> String {
     let mut out = String::new();
     out.push_str("{\n");
     out.push_str(&format!("  \"suite\": \"{}\",\n", report.suite));
@@ -394,18 +333,6 @@ fn render(report: &Report, counters: &[(String, f64)]) -> String {
         out.push_str(&format!(
             "    {{\"id\":\"{}\",\"min_ns\":{:.1},\"median_ns\":{:.1},\"mean_ns\":{:.1},\"samples\":{}}}{comma}\n",
             e.id, e.min_ns, e.median_ns, e.mean_ns, e.samples
-        ));
-    }
-    if counters.is_empty() {
-        out.push_str("  ]\n}\n");
-        return out;
-    }
-    out.push_str("  ],\n");
-    out.push_str("  \"counters\": [\n");
-    for (i, (name, value)) in counters.iter().enumerate() {
-        let comma = if i + 1 < counters.len() { "," } else { "" };
-        out.push_str(&format!(
-            "    {{\"counter\":\"{name}\",\"value\":{value:.1}}}{comma}\n"
         ));
     }
     out.push_str("  ]\n}\n");

@@ -282,24 +282,6 @@ impl CostModel for CachedCostModel<'_> {
     }
 }
 
-/// Runs `f` over the model pair a scoring pass uses: each model behind its
-/// cache when `caches` is given, the bare models otherwise. Both choices
-/// score bit-identically; the caches only save decompositions.
-pub(crate) fn with_models<R>(
-    baseline: &dyn CostModel,
-    optimized: &dyn CostModel,
-    caches: Option<(&DecompositionCache, &DecompositionCache)>,
-    f: impl FnOnce(&dyn CostModel, &dyn CostModel) -> R,
-) -> R {
-    match caches {
-        Some((bcache, ocache)) => f(
-            &CachedCostModel::new(baseline, bcache),
-            &CachedCostModel::new(optimized, ocache),
-        ),
-        None => f(baseline, optimized),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -17,13 +17,15 @@
 //! [`route_best_of`]: paradrive_transpiler::routing::route_best_of
 
 use crate::batch::{Batch, Costing, EngineConfig};
-use crate::cache::{with_models, DecompositionCache};
+use crate::cache::{CachedCostModel, DecompositionCache};
 use crate::report::{BatchSummary, CircuitReport, EngineReport};
 use crate::EngineError;
-use paradrive_core::flow::evaluate_with_calibration;
+use paradrive_core::flow::{evaluate_with_calibration, BenchmarkResult};
 use paradrive_core::rules::{BaselineSqrtIswap, ParallelDriveRules, SynthesizedParallelDrive};
 use paradrive_obs::{Counter, Recorder, Trace};
-use paradrive_transpiler::consolidate::consolidate;
+use paradrive_transpiler::calibration::Calibration;
+use paradrive_transpiler::consolidate::{consolidate, Item};
+use paradrive_transpiler::fidelity::FidelityModel;
 use paradrive_transpiler::routing::{route_with_oracle, NoiseOracle, Routed, RouterOptions};
 use paradrive_transpiler::CostModel;
 use paradrive_transpiler::TranspileError;
@@ -37,6 +39,11 @@ use std::time::{Duration, Instant};
 /// submission index and its finished report. Must be `Sync` — workers
 /// call it concurrently.
 pub type JobSink<'a> = dyn Fn(usize, CircuitReport) + Sync + 'a;
+
+/// The worker pool's own completion sink: a [`JobSink`] that also
+/// receives the job's consolidated items, so a caller that re-scores the
+/// same route later (the fleet policy) never consolidates it again.
+pub(crate) type ItemSink<'a> = dyn Fn(usize, CircuitReport, Vec<Item>) + Sync + 'a;
 
 /// Runs every job in `batch` and returns the aggregated report.
 ///
@@ -143,6 +150,23 @@ pub fn run_batch_streaming_with_caches(
     sink: &JobSink<'_>,
     caches: Option<(&DecompositionCache, &DecompositionCache)>,
 ) -> Result<BatchSummary, EngineError> {
+    run_pool(
+        batch,
+        config,
+        &|job, report, _items| sink(job, report),
+        caches,
+    )
+}
+
+/// The worker pool behind every entry point: runs `batch` and hands each
+/// finished job's report and consolidated items to `sink` (see
+/// [`run_batch_streaming_with_caches`] for the contract).
+pub(crate) fn run_pool(
+    batch: &Batch,
+    config: &EngineConfig,
+    sink: &ItemSink<'_>,
+    caches: Option<(&DecompositionCache, &DecompositionCache)>,
+) -> Result<BatchSummary, EngineError> {
     let started = Instant::now();
     let seeds = config.routing_seeds.max(1) as usize;
     let n_jobs = batch.len();
@@ -179,9 +203,7 @@ pub fn run_batch_streaming_with_caches(
         config,
         noise,
         seeds,
-        baseline: BaselineSqrtIswap::new(config.d_1q),
-        optimized: optimized_model(config),
-        caches,
+        scorer: Scorer::new(config, caches),
         next_unit: AtomicUsize::new(0),
         units_left: (0..n_jobs).map(|_| AtomicUsize::new(seeds)).collect(),
         routed: (0..unit_count).map(|_| Mutex::new(None)).collect(),
@@ -247,13 +269,69 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
-/// The optimized-side cost model [`Costing`] selects. Shared with the
-/// fleet policy layer so kept-route re-scoring uses the exact model the
-/// engine's back half would.
-pub(crate) fn optimized_model(config: &EngineConfig) -> Box<dyn CostModel + Sync> {
-    match config.costing {
-        Costing::Hull => Box::new(ParallelDriveRules::new(config.d_1q)),
-        Costing::Synthesized => Box::new(SynthesizedParallelDrive::new(config.d_1q)),
+/// The schedule stage: scores consolidated items under both cost models
+/// (the baseline and the one [`Costing`] selects), each behind its cache
+/// when a cache pair is given. The engine's back half and the fleet's
+/// kept-route re-scoring both score through it, so a kept route scores
+/// exactly as a fresh one would. Cached and bare models score
+/// bit-identically; the caches only save decompositions.
+pub(crate) struct Scorer<'a> {
+    baseline: BaselineSqrtIswap,
+    optimized: Box<dyn CostModel + Sync>,
+    caches: Option<(&'a DecompositionCache, &'a DecompositionCache)>,
+    fidelity: FidelityModel,
+}
+
+impl<'a> Scorer<'a> {
+    pub(crate) fn new(
+        config: &EngineConfig,
+        caches: Option<(&'a DecompositionCache, &'a DecompositionCache)>,
+    ) -> Self {
+        let optimized: Box<dyn CostModel + Sync> = match config.costing {
+            Costing::Hull => Box::new(ParallelDriveRules::new(config.d_1q)),
+            Costing::Synthesized => Box::new(SynthesizedParallelDrive::new(config.d_1q)),
+        };
+        Scorer {
+            baseline: BaselineSqrtIswap::new(config.d_1q),
+            optimized,
+            caches,
+            fidelity: config.fidelity,
+        }
+    }
+
+    /// Eq. 8 durations and Eq. 10–11 fidelities of one consolidated
+    /// route on a `device_qubits`-wide map, under `cal` when given.
+    pub(crate) fn score(
+        &self,
+        name: &str,
+        items: &[Item],
+        swaps: usize,
+        device_qubits: usize,
+        logical_qubits: usize,
+        cal: Option<&Calibration>,
+    ) -> BenchmarkResult {
+        let cached;
+        let (baseline, optimized): (&dyn CostModel, &dyn CostModel) = match self.caches {
+            Some((bcache, ocache)) => {
+                cached = (
+                    CachedCostModel::new(&self.baseline, bcache),
+                    CachedCostModel::new(self.optimized.as_ref(), ocache),
+                );
+                (&cached.0, &cached.1)
+            }
+            None => (&self.baseline, self.optimized.as_ref()),
+        };
+        evaluate_with_calibration(
+            name,
+            items,
+            swaps,
+            baseline,
+            optimized,
+            device_qubits,
+            logical_qubits,
+            self.fidelity,
+            cal,
+        )
     }
 }
 
@@ -266,9 +344,7 @@ struct Shared<'a, 'sink> {
     /// of the job's routing units reports.
     noise: Vec<Result<Option<NoiseOracle>, TranspileError>>,
     seeds: usize,
-    baseline: BaselineSqrtIswap,
-    optimized: Box<dyn CostModel + Sync>,
-    caches: Option<(&'a DecompositionCache, &'a DecompositionCache)>,
+    scorer: Scorer<'a>,
     /// Cursor over the flattened `(job, seed)` routing units.
     next_unit: AtomicUsize,
     /// Routing units still outstanding per job; the worker that drops a
@@ -286,7 +362,7 @@ struct Shared<'a, 'sink> {
     rec: Recorder,
     /// Where finished reports go, called on the finishing worker — the
     /// engine itself retains nothing per job beyond the error slots.
-    sink: &'sink JobSink<'sink>,
+    sink: &'sink ItemSink<'sink>,
 }
 
 impl Shared<'_, '_> {
@@ -323,7 +399,7 @@ impl Shared<'_, '_> {
             // job's back half right away and streams the report out.
             if self.units_left[job].fetch_sub(1, Ordering::AcqRel) == 1 {
                 match self.finish_job(job) {
-                    Ok(report) => (self.sink)(job, report),
+                    Ok((report, items)) => (self.sink)(job, report, items),
                     Err(e) => {
                         *self.failures[job].lock().expect("failure slot poisoned") = Some(e);
                     }
@@ -338,7 +414,7 @@ impl Shared<'_, '_> {
     /// their summed duration is the job's pipeline time — `run_batch`
     /// rebuilds it from the trace, and the placeholders below stay zero
     /// until then.
-    fn finish_job(&self, job: usize) -> Result<CircuitReport, TranspileError> {
+    fn finish_job(&self, job: usize) -> Result<(CircuitReport, Vec<Item>), TranspileError> {
         let spec = &self.batch.jobs()[job];
         let stage = |name| self.rec.span_full(name, job as u64, || spec.name.clone());
         let cal = self.batch.calibration_for(job);
@@ -405,27 +481,19 @@ impl Shared<'_, '_> {
         if let Some(Verification::Sampled { samples, .. }) = &verification {
             self.rec.add("verify.samples", *samples as u64);
         }
-        let _span = stage("schedule");
-        let result = with_models(
-            &self.baseline,
-            self.optimized.as_ref(),
-            self.caches,
-            |baseline, optimized| {
-                evaluate_with_calibration(
-                    &spec.name,
-                    &items,
-                    best.swaps_inserted,
-                    baseline,
-                    optimized,
-                    map.n_qubits(),
-                    spec.circuit.n_qubits(),
-                    self.config.fidelity,
-                    cal,
-                )
-            },
-        );
+        let result = {
+            let _span = stage("schedule");
+            self.scorer.score(
+                &spec.name,
+                &items,
+                best.swaps_inserted,
+                map.n_qubits(),
+                spec.circuit.n_qubits(),
+                cal,
+            )
+        };
 
-        Ok(CircuitReport {
+        let report = CircuitReport {
             result,
             topology: map.label().to_string(),
             calibration: cal.map_or_else(|| "uniform".to_string(), |c| c.label().to_string()),
@@ -434,7 +502,8 @@ impl Shared<'_, '_> {
             // Filled from the drained trace by `run_batch`.
             route_time: Duration::ZERO,
             pipeline_time: Duration::ZERO,
-        })
+        };
+        Ok((report, items))
     }
 }
 
@@ -557,11 +626,6 @@ mod tests {
         // Routed circuits are as wide as their own device, not the default.
         assert_eq!(one.circuits[1].routed.as_ref().unwrap().n_qubits(), 10);
         assert_eq!(one.circuits[2].routed.as_ref().unwrap().n_qubits(), 7);
-
-        let groups = one.by_topology();
-        assert_eq!(groups.len(), 3);
-        assert_eq!(groups[1].topology, "ring10");
-        assert_eq!(groups[1].circuits, 2);
     }
 
     #[test]
@@ -635,10 +699,12 @@ mod tests {
                 y.result.optimized_total_fidelity.to_bits()
             );
         }
-        let groups = one.by_calibration();
-        assert_eq!(groups.len(), 2);
-        assert_eq!(groups[0].calibration, "spread0.3");
-        assert_eq!(groups[1].calibration, "hotspot2");
+        let labels: Vec<&str> = one
+            .circuits
+            .iter()
+            .map(|c| c.calibration.as_str())
+            .collect();
+        assert_eq!(labels, ["spread0.3", "spread0.3", "hotspot2", "hotspot2"]);
     }
 
     #[test]

@@ -27,10 +27,9 @@
 //!   [`WeylKey`](paradrive_weyl::WeylKey) with exact-bit verification,
 //!   and reports hit/miss counters;
 //! - [`EngineReport`] aggregates per-circuit results, timings, cache
-//!   statistics and the batch wall clock, with per-topology rollups
-//!   ([`EngineReport::by_topology`]) for heterogeneous batches and
-//!   per-calibration rollups ([`EngineReport::by_calibration`]) for
-//!   calibrated ones;
+//!   statistics and the batch wall clock (per-topology and
+//!   per-calibration rollups over many batches are the sweep's
+//!   `RunRollup`, in `crates/repro`);
 //! - jobs may carry a device
 //!   [`Calibration`](paradrive_transpiler::calibration::Calibration)
 //!   ([`Batch::push_calibrated`]): scheduling then charges per-edge 2Q
@@ -43,7 +42,10 @@
 //!   [`paradrive_verify`] equivalence oracles (exact up-to-permutation on
 //!   small supports, seeded Monte-Carlo beyond), with verdicts surfaced
 //!   per circuit ([`CircuitReport::verification`]) and batch-wide
-//!   ([`EngineReport::verification_summary`]).
+//!   ([`EngineReport::verification_summary`]);
+//! - [`run_fleet`] replays jobs over drifting calibration timelines
+//!   under a [`RetranspilePolicy`], streaming each `(epoch, job)` report
+//!   to a caller sink the way [`run_batch_streaming`] does.
 //!
 //! # Example
 //!
@@ -74,14 +76,8 @@ pub use cache::{CacheStats, CachedCostModel, DecompositionCache, ShardStats};
 pub use engine::{run_batch, run_batch_streaming, run_batch_streaming_with_caches, JobSink};
 pub use paradrive_obs::{StageStats, Trace};
 pub use paradrive_verify::{Verification, VerifyLevel};
-pub use policy::{
-    run_fleet, EpochDecision, FleetEpochReport, FleetJob, FleetJobReport, FleetReport,
-    RetranspilePolicy,
-};
-pub use report::{
-    BatchSummary, CalibrationSummary, CircuitReport, EngineReport, MetricsSummary, TopologySummary,
-    VerificationSummary,
-};
+pub use policy::{run_fleet, EpochDecision, FleetJob, RetranspilePolicy};
+pub use report::{BatchSummary, CircuitReport, EngineReport, MetricsSummary, VerificationSummary};
 
 use paradrive_transpiler::TranspileError;
 

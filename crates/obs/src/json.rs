@@ -1,4 +1,5 @@
-//! A minimal JSON parser for validating exported traces.
+//! A minimal JSON parser for validating exported traces, and the one
+//! string escaper every JSON writer in the workspace uses.
 //!
 //! The workspace has no serialization dependency, so round-trip checks —
 //! "does the Chrome export parse back?" — need a reader of their own.
@@ -8,6 +9,31 @@
 //! exporter tests; it is not a general-purpose JSON library.
 
 use std::fmt;
+use std::fmt::Write as _;
+
+/// Escapes `s` as a JSON string literal, surrounding quotes included:
+/// quotes, backslashes and `\n`/`\r`/`\t` get their short escapes, other
+/// control characters become `\u00XX`. The trace exporters and the sweep
+/// journal both write strings through it.
+pub fn escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+    out
+}
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]

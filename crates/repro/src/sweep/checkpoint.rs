@@ -45,28 +45,6 @@ pub struct Meta {
     pub shard: usize,
 }
 
-/// Escapes a string as a JSON string literal (same dialect as the obs
-/// trace writer: control characters as `\u00XX`).
-pub(crate) fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 /// Formats an `f64` as a JSON value that parses back bit-identically:
 /// shortest-round-trip decimal for finite values, quoted sentinels for
 /// the non-finite ones JSON cannot spell.
@@ -127,10 +105,10 @@ fn verification_json(v: &Verification) -> String {
             fmt_f64(*min_fidelity)
         ),
         Verification::Skipped { reason } => {
-            format!("{{\"method\":\"skip\",\"reason\":{}}}", escape(reason))
+            format!("{{\"method\":\"skip\",\"reason\":{}}}", json::escape(reason))
         }
         Verification::Error { reason } => {
-            format!("{{\"method\":\"error\",\"reason\":{}}}", escape(reason))
+            format!("{{\"method\":\"error\",\"reason\":{}}}", json::escape(reason))
         }
     }
 }
@@ -145,9 +123,9 @@ pub(crate) fn cell_line(cell: &SweepCell) -> String {
         "{{\"type\":\"cell\",\"ordinal\":{},\"digest\":\"{:016x}\",\"topology\":{},\"calibration\":{},\"benchmark\":{},\"costing\":\"{}\",\"verify\":\"{}\",\"suite_seed\":\"{}\"",
         cell.ordinal,
         cell.digest,
-        escape(&cell.topology),
-        escape(&cell.calibration),
-        escape(&cell.benchmark),
+        json::escape(&cell.topology),
+        json::escape(&cell.calibration),
+        json::escape(&cell.benchmark),
         cell.costing,
         cell.verify,
         cell.suite_seed,

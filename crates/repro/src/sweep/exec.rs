@@ -1,13 +1,14 @@
-//! Shard execution: drives the planned grid through the streaming engine,
-//! folding each cell into the order-independent rollups as it lands.
+//! Shard execution: drives the planned grid through the streaming engine
+//! (or, on drifted sweeps, the streaming fleet replay), turning every
+//! report into a compact cell as it lands.
 //!
-//! This is the layer that makes the sweep's memory footprint
-//! O(in-flight) instead of O(grid): [`run_sweep_shard`] hands the engine
-//! a [`paradrive_engine::JobSink`] that converts every
-//! [`paradrive_engine::CircuitReport`] into a compact [`SweepCell`]
-//! (dropping the routed circuit after reading its depth), absorbs it
-//! into the run's [`RunRollup`], and optionally journals it — the full
-//! report is never retained.
+//! This is the layer that keeps the sweep's report memory O(in-flight)
+//! instead of O(grid): [`run_sweep_shard`] hands the engine a
+//! [`paradrive_engine::JobSink`] (the fleet a sink of the same shape)
+//! that converts every [`paradrive_engine::CircuitReport`] into a
+//! [`SweepCell`], dropping the routed circuit after reading its depth,
+//! and optionally journals it — the full report is never retained. Once
+//! a run's cells are in, they fold through [`RunRollup`] once.
 //!
 //! Sharding rides on the deterministic cell identity from
 //! [`super::cell`]: `--shards N --shard i` selects the cells whose
@@ -22,7 +23,8 @@ use super::checkpoint::{Journal, JournalContents, Meta};
 use super::rollup::{RunRollup, SweepRun};
 use super::spec::{SweepError, SweepSpec};
 use paradrive_engine::{
-    run_batch_streaming, run_fleet, Batch, CircuitReport, EngineConfig, FleetJob, Trace,
+    run_batch_streaming, run_fleet, Batch, BatchSummary, CircuitReport, Costing, EngineConfig,
+    FleetJob, Trace, VerifyLevel,
 };
 use std::collections::HashMap;
 use std::path::Path;
@@ -74,14 +76,84 @@ pub fn run_sweep(spec: &SweepSpec) -> Result<SweepOutcome, SweepError> {
 }
 
 /// Mutable state shared with the engine's worker threads through the
-/// job sink: completed cells, the streaming rollup, and the journal.
-/// The sink cannot return errors, so journal failures park here and
-/// surface once the batch drains.
+/// job sink: completed cells and the journal. The sink cannot return
+/// errors, so journal failures park here and surface once the batch
+/// drains.
 struct SinkState<'a> {
     cells: Vec<SweepCell>,
-    rollup: RunRollup,
     journal: Option<&'a mut Journal>,
     journal_err: Option<SweepError>,
+}
+
+/// The cell a planned grid point became: the engine's report for it,
+/// under `run`'s (costing, verification) pair, with the fleet `decision`
+/// (`"-"` on static runs). The routed circuit is read for its depth and
+/// dropped here, so peak retention stays proportional to in-flight jobs.
+/// Wall time starts at zero: static runs patch it from the trace, and
+/// fleet cells stay untimed.
+fn cell_of(
+    plan: &SweepPlan,
+    planned: &PlannedCell,
+    (costing, verify): (Costing, VerifyLevel),
+    decision: &'static str,
+    report: CircuitReport,
+) -> SweepCell {
+    let r = &report.result;
+    SweepCell {
+        ordinal: planned.id.ordinal,
+        digest: planned.id.digest,
+        depth: report.routed.as_ref().map_or(0, |c| c.depth()),
+        topology: report.topology,
+        calibration: report.calibration,
+        // The plan's benchmark name, not the job's: fleet jobs carry an
+        // `@seed` suffix for trace readability.
+        benchmark: plan.benchmark(planned).0.clone(),
+        costing: costing_label(costing),
+        verify: verify.label(),
+        verification: report.verification,
+        suite_seed: plan.suite_seed(planned),
+        epoch: planned.epoch,
+        decision,
+        swaps: r.swaps,
+        blocks: r.blocks,
+        baseline_duration: r.baseline_duration,
+        optimized_duration: r.optimized_duration,
+        reduction_pct: r.duration_reduction_pct,
+        ft_improvement_pct: r.ft_improvement_pct,
+        optimized_ft: r.optimized_total_fidelity,
+        wall: Duration::ZERO,
+    }
+}
+
+/// A run's aggregate: its cells folded through [`RunRollup`] once, plus
+/// the engine's diagnostics when the run executed. Fully restored runs
+/// and merges pass `None` and report no threads, wall clock, cache or
+/// trace.
+fn sweep_run<'c>(
+    (costing, verify): (Costing, VerifyLevel),
+    cells: impl IntoIterator<Item = &'c SweepCell>,
+    summary: Option<BatchSummary>,
+) -> SweepRun {
+    let mut rollup = RunRollup::new();
+    for cell in cells {
+        rollup.absorb(cell);
+    }
+    let (threads, wall_clock, cache, trace) = match summary {
+        Some(s) => (s.threads, s.wall_clock, s.cache_stats(), s.trace),
+        None => (0, Duration::ZERO, None, Trace::default()),
+    };
+    SweepRun {
+        costing: costing_label(costing),
+        verify: verify.label(),
+        threads,
+        wall_clock,
+        cache,
+        by_topology: rollup.by_topology(),
+        by_calibration: rollup.by_calibration(),
+        verification: rollup.verification(),
+        fleet: rollup.fleet(),
+        trace,
+    }
 }
 
 /// Runs one shard of the cross-product (see [`ShardOptions`]); with the
@@ -168,256 +240,38 @@ pub fn run_sweep_shard(
     let mut runs = Vec::with_capacity(plan.runs().len());
     let mut all_cells: Vec<SweepCell> = Vec::with_capacity(shard_cells.len());
 
-    for (run_idx, &(costing, verify)) in plan.runs().iter().enumerate() {
-        let mut rollup = RunRollup::new();
-        // Restored cells fold in first; they are grid cells like any
+    for (run_idx, &run) in plan.runs().iter().enumerate() {
+        let first = all_cells.len();
+        // Restored cells join the run first; they are grid cells like any
         // other, just with no wall time and no fresh engine work.
         let mut pending: Vec<&PlannedCell> = Vec::new();
         for cell in shard_cells.iter().filter(|c| c.run == run_idx) {
             match restored_by_ordinal.remove(&cell.id.ordinal) {
-                Some(done) => {
-                    rollup.absorb(&done);
-                    all_cells.push(done);
-                }
+                Some(done) => all_cells.push(done),
                 None => pending.push(cell),
             }
         }
-
-        if pending.is_empty() {
-            // Fully restored (or an empty shard slice): no engine run.
-            runs.push(SweepRun {
-                costing: costing_label(costing),
-                verify: verify.label(),
-                threads: 0,
-                wall_clock: Duration::ZERO,
-                cache: None,
-                by_topology: rollup.by_topology(),
-                by_calibration: rollup.by_calibration(),
-                verification: rollup.verification(),
-                fleet: rollup.fleet(),
-                trace: Trace::default(),
-            });
-            continue;
-        }
-
-        let config = EngineConfig::default()
-            .threads(spec.threads)
-            .routing_seeds(spec.routing_seeds)
-            .cache(spec.cache)
-            .costing(costing)
-            .noise_aware(spec.noise_aware)
-            .verify(verify)
-            .keep_routed(true);
-
-        if plan.drift().is_some() {
-            // Drift path: one fleet replay per run. Each distinct
-            // (topology, calibration, seed, benchmark) tuple with at
-            // least one pending cell becomes a fleet job; the whole
-            // timeline re-runs — a fleet replay is a pure function of
-            // the spec — and only owned, non-restored cells are
-            // emitted, so shard/merge/resume stay byte-identical to an
-            // unsharded run.
-            let key_of = |c: &PlannedCell| (c.topology, c.calibration, c.suite_seed, c.benchmark);
-            let mut reps: Vec<&PlannedCell> = Vec::new();
-            for cell in &pending {
-                if !reps.iter().any(|r| key_of(r) == key_of(cell)) {
-                    reps.push(cell);
-                }
-            }
-            let jobs: Vec<FleetJob> = reps
-                .iter()
-                .map(|cell| {
-                    let (name, circuit) = plan.benchmark(cell);
-                    FleetJob {
-                        name: format!("{}@{}", name, plan.suite_seed(cell)),
-                        circuit: circuit.clone(),
-                        map: Arc::clone(plan.map(cell)),
-                        timeline: Arc::clone(
-                            plan.timeline(cell).expect("drift sweeps plan timelines"),
-                        ),
-                    }
-                })
-                .collect();
-            let fleet = run_fleet(&jobs, &config, &plan.spec().policy)?;
-            for planned in &pending {
-                let job = reps
-                    .iter()
-                    .position(|r| key_of(r) == key_of(planned))
-                    .expect("every pending cell keys a fleet job");
-                let outcome = &fleet.epochs[planned.epoch].jobs[job];
-                let r = &outcome.report.result;
-                let cell = SweepCell {
-                    ordinal: planned.id.ordinal,
-                    digest: planned.id.digest,
-                    topology: outcome.report.topology.clone(),
-                    calibration: outcome.report.calibration.clone(),
-                    // The fleet job name carries an `@seed` suffix for
-                    // trace readability; the cell keeps the bare
-                    // benchmark name so rows match the static sweep.
-                    benchmark: plan.benchmark(planned).0.clone(),
-                    costing: costing_label(costing),
-                    verify: verify.label(),
-                    verification: outcome.report.verification.clone(),
-                    suite_seed: plan.suite_seed(planned),
-                    epoch: planned.epoch,
-                    decision: outcome.decision.label(),
-                    swaps: r.swaps,
-                    depth: outcome.report.routed.as_ref().map_or(0, |c| c.depth()),
-                    blocks: r.blocks,
-                    baseline_duration: r.baseline_duration,
-                    optimized_duration: r.optimized_duration,
-                    reduction_pct: r.duration_reduction_pct,
-                    ft_improvement_pct: r.ft_improvement_pct,
-                    optimized_ft: r.optimized_total_fidelity,
-                    // Fleet spans are keyed per epoch sub-batch, not per
-                    // grid cell; per-cell wall time is deliberately zero
-                    // so the deterministic report stays replay-stable.
-                    wall: Duration::ZERO,
-                };
-                rollup.absorb(&cell);
-                if let Some(journal) = journal.as_mut() {
-                    journal.append(&cell)?;
-                }
-                all_cells.push(cell);
-            }
-            runs.push(SweepRun {
-                costing: costing_label(costing),
-                verify: verify.label(),
-                threads: fleet.threads,
-                wall_clock: fleet.wall_clock,
-                cache: fleet.cache,
-                by_topology: rollup.by_topology(),
-                by_calibration: rollup.by_calibration(),
-                verification: rollup.verification(),
-                fleet: rollup.fleet(),
-                trace: fleet.trace,
-            });
-            continue;
-        }
-
-        // One heterogeneous batch per run, in ordinal order, sharing each
-        // topology's distance matrix and calibration table across cells.
-        let mut batch = Batch::with_shared(Arc::clone(plan.map(pending[0])));
-        for cell in &pending {
-            let (name, circuit) = plan.benchmark(cell);
-            batch.push_calibrated(
-                name.clone(),
-                circuit.clone(),
-                Arc::clone(plan.map(cell)),
-                Arc::clone(plan.calibration(cell)),
-            );
-        }
-
-        let state = Mutex::new(SinkState {
-            cells: Vec::with_capacity(pending.len()),
-            rollup,
-            journal: journal.as_mut(),
-            journal_err: None,
-        });
-        let sink = |job: usize, report: CircuitReport| {
-            let planned = pending[job];
-            let r = &report.result;
-            let cell = SweepCell {
-                ordinal: planned.id.ordinal,
-                digest: planned.id.digest,
-                topology: report.topology,
-                calibration: report.calibration,
-                benchmark: r.name.clone(),
-                costing: costing_label(costing),
-                verify: verify.label(),
-                verification: report.verification,
-                suite_seed: plan.suite_seed(planned),
-                epoch: planned.epoch,
-                decision: "-",
-                swaps: r.swaps,
-                // Depth is the one thing the routed circuit is kept for;
-                // read it and let the circuit drop right here, so peak
-                // retention stays proportional to in-flight jobs.
-                depth: report.routed.as_ref().map_or(0, |c| c.depth()),
-                blocks: r.blocks,
-                baseline_duration: r.baseline_duration,
-                optimized_duration: r.optimized_duration,
-                reduction_pct: r.duration_reduction_pct,
-                ft_improvement_pct: r.ft_improvement_pct,
-                optimized_ft: r.optimized_total_fidelity,
-                // Patched from the trace after the batch drains; the
-                // streaming engine does not time individual jobs inline.
-                wall: Duration::ZERO,
-            };
-            let mut state = state.lock().unwrap();
-            state.rollup.absorb(&cell);
-            if state.journal_err.is_none() {
-                if let Some(journal) = state.journal.as_mut() {
-                    if let Err(e) = journal.append(&cell) {
-                        state.journal_err = Some(e);
-                    }
-                }
-            }
-            state.cells.push(cell);
+        // Fully restored runs (or empty shard slices) skip the engine.
+        let summary = if pending.is_empty() {
+            None
+        } else {
+            let (costing, verify) = run;
+            let config = EngineConfig::default()
+                .threads(spec.threads)
+                .routing_seeds(spec.routing_seeds)
+                .cache(spec.cache)
+                .costing(costing)
+                .noise_aware(spec.noise_aware)
+                .verify(verify)
+                .keep_routed(true);
+            let journal = journal.as_mut();
+            Some(if plan.drift().is_some() {
+                run_fleet_cells(&plan, run, &pending, &config, journal, &mut all_cells)?
+            } else {
+                run_batch_cells(&plan, run, &pending, &config, journal, &mut all_cells)?
+            })
         };
-        let summary = run_batch_streaming(&batch, &config, &sink)?;
-        let SinkState {
-            mut cells,
-            rollup,
-            journal_err,
-            ..
-        } = state.into_inner().unwrap();
-        if let Some(e) = journal_err {
-            return Err(e);
-        }
-
-        // Rebuild per-cell wall time (route + pipeline) from the trace,
-        // which keys every span by job index.
-        let mut wall_ns: HashMap<usize, u64> = HashMap::new();
-        for s in &summary.trace.spans {
-            *wall_ns.entry(s.key as usize).or_default() += s.dur_ns;
-        }
-        let ordinal_to_job: HashMap<u64, usize> = pending
-            .iter()
-            .enumerate()
-            .map(|(job, c)| (c.id.ordinal, job))
-            .collect();
-        for cell in &mut cells {
-            if let Some(job) = ordinal_to_job.get(&cell.ordinal) {
-                cell.wall = Duration::from_nanos(*wall_ns.get(job).unwrap_or(&0));
-            }
-        }
-
-        // Relabel engine spans (keyed by job index) with the cell's
-        // deterministic label, so a trace opened in Perfetto names cells
-        // the same way the timing report does. Route spans keep their
-        // per-seed `#N` suffix.
-        let mut trace = summary.trace.clone();
-        for s in &mut trace.spans {
-            if let Some(planned) = pending.get(s.key as usize) {
-                let (name, _) = plan.benchmark(planned);
-                let cell = format!(
-                    "{}/{}/{}@{}",
-                    plan.map(planned).label(),
-                    plan.calibration(planned).label(),
-                    name,
-                    plan.suite_seed(planned)
-                );
-                s.label = match s.label.rsplit_once('#') {
-                    Some((_, seed)) if s.name == "route" => format!("{cell}#{seed}"),
-                    _ => cell,
-                };
-            }
-        }
-
-        all_cells.extend(cells);
-        runs.push(SweepRun {
-            costing: costing_label(costing),
-            verify: verify.label(),
-            threads: summary.threads,
-            wall_clock: summary.wall_clock,
-            cache: summary.cache_stats(),
-            by_topology: rollup.by_topology(),
-            by_calibration: rollup.by_calibration(),
-            verification: rollup.verification(),
-            fleet: rollup.fleet(),
-            trace,
-        });
+        runs.push(sweep_run(run, &all_cells[first..], summary));
     }
 
     if let Some(journal) = journal.as_mut() {
@@ -431,6 +285,157 @@ pub fn run_sweep_shard(
         cells: all_cells,
         runs,
     })
+}
+
+/// Drift path: one fleet replay per run. Each distinct (topology,
+/// calibration, seed, benchmark) tuple with at least one pending cell
+/// becomes a fleet job, and the whole timeline re-runs — a fleet replay
+/// is a pure function of the spec — but only pending cells are emitted,
+/// so shard/merge/resume stay byte-identical to an unsharded run. The
+/// cells are journaled once the replay returns, in ordinal order.
+fn run_fleet_cells(
+    plan: &SweepPlan,
+    run: (Costing, VerifyLevel),
+    pending: &[&PlannedCell],
+    config: &EngineConfig,
+    journal: Option<&mut Journal>,
+    out: &mut Vec<SweepCell>,
+) -> Result<BatchSummary, SweepError> {
+    let key_of = |c: &PlannedCell| (c.topology, c.calibration, c.suite_seed, c.benchmark);
+    let mut reps: Vec<&PlannedCell> = Vec::new();
+    let mut pending_at: HashMap<(usize, usize), &PlannedCell> = HashMap::new();
+    for &cell in pending {
+        let job = match reps.iter().position(|r| key_of(r) == key_of(cell)) {
+            Some(job) => job,
+            None => {
+                reps.push(cell);
+                reps.len() - 1
+            }
+        };
+        pending_at.insert((cell.epoch, job), cell);
+    }
+    let jobs: Vec<FleetJob> = reps
+        .iter()
+        .map(|cell| {
+            let (name, circuit) = plan.benchmark(cell);
+            FleetJob {
+                name: format!("{}@{}", name, plan.suite_seed(cell)),
+                circuit: circuit.clone(),
+                map: Arc::clone(plan.map(cell)),
+                timeline: Arc::clone(plan.timeline(cell).expect("drift sweeps plan timelines")),
+            }
+        })
+        .collect();
+    let mut cells = Vec::with_capacity(pending.len());
+    let summary = run_fleet(
+        &jobs,
+        config,
+        &plan.spec().policy,
+        &mut |epoch, job, decision, report| {
+            if let Some(planned) = pending_at.get(&(epoch, job)) {
+                cells.push(cell_of(plan, planned, run, decision.label(), report));
+            }
+        },
+    )?;
+    cells.sort_by_key(|c| c.ordinal);
+    if let Some(journal) = journal {
+        for cell in &cells {
+            journal.append(cell)?;
+        }
+    }
+    out.extend(cells);
+    Ok(summary)
+}
+
+/// Static path: one heterogeneous batch per run, in ordinal order,
+/// sharing each topology's distance matrix and calibration table across
+/// cells. Cells are journaled as they complete; afterwards each gets its
+/// wall time from the trace, and the trace's spans get cell labels.
+fn run_batch_cells(
+    plan: &SweepPlan,
+    run: (Costing, VerifyLevel),
+    pending: &[&PlannedCell],
+    config: &EngineConfig,
+    journal: Option<&mut Journal>,
+    out: &mut Vec<SweepCell>,
+) -> Result<BatchSummary, SweepError> {
+    let mut batch = Batch::with_shared(Arc::clone(plan.map(pending[0])));
+    for cell in pending {
+        let (name, circuit) = plan.benchmark(cell);
+        batch.push_calibrated(
+            name.clone(),
+            circuit.clone(),
+            Arc::clone(plan.map(cell)),
+            Arc::clone(plan.calibration(cell)),
+        );
+    }
+
+    let state = Mutex::new(SinkState {
+        cells: Vec::with_capacity(pending.len()),
+        journal,
+        journal_err: None,
+    });
+    let sink = |job: usize, report: CircuitReport| {
+        let cell = cell_of(plan, pending[job], run, "-", report);
+        let mut state = state.lock().expect("sweep sink state poisoned");
+        if state.journal_err.is_none() {
+            if let Some(journal) = state.journal.as_mut() {
+                if let Err(e) = journal.append(&cell) {
+                    state.journal_err = Some(e);
+                }
+            }
+        }
+        state.cells.push(cell);
+    };
+    let mut summary = run_batch_streaming(&batch, config, &sink)?;
+    let SinkState {
+        mut cells,
+        journal_err,
+        ..
+    } = state.into_inner().expect("sweep sink state poisoned");
+    if let Some(e) = journal_err {
+        return Err(e);
+    }
+
+    // Rebuild per-cell wall time (route + pipeline) from the trace,
+    // which keys every span by job index.
+    let mut wall_ns: HashMap<usize, u64> = HashMap::new();
+    for s in &summary.trace.spans {
+        *wall_ns.entry(s.key as usize).or_default() += s.dur_ns;
+    }
+    let ordinal_to_job: HashMap<u64, usize> = pending
+        .iter()
+        .enumerate()
+        .map(|(job, c)| (c.id.ordinal, job))
+        .collect();
+    for cell in &mut cells {
+        if let Some(job) = ordinal_to_job.get(&cell.ordinal) {
+            cell.wall = Duration::from_nanos(*wall_ns.get(job).unwrap_or(&0));
+        }
+    }
+
+    // Relabel engine spans (keyed by job index) with the cell's
+    // deterministic label, so a trace opened in Perfetto names cells the
+    // same way the timing report does. Route spans keep their per-seed
+    // `#N` suffix.
+    for s in &mut summary.trace.spans {
+        if let Some(planned) = pending.get(s.key as usize) {
+            let (name, _) = plan.benchmark(planned);
+            let cell = format!(
+                "{}/{}/{}@{}",
+                plan.map(planned).label(),
+                plan.calibration(planned).label(),
+                name,
+                plan.suite_seed(planned)
+            );
+            s.label = match s.label.rsplit_once('#') {
+                Some((_, seed)) if s.name == "route" => format!("{cell}#{seed}"),
+                _ => cell,
+            };
+        }
+    }
+    out.extend(cells);
+    Ok(summary)
 }
 
 /// Recombines shard reports (or completed journals) into the outcome a
@@ -548,27 +553,15 @@ pub fn merge_reports(
     // Refold through the same rollups the live runs used.
     let ordinal_to_run: HashMap<u64, usize> =
         plan.cells().iter().map(|c| (c.id.ordinal, c.run)).collect();
-    let mut rollups: Vec<RunRollup> = vec![RunRollup::new(); plan.runs().len()];
     let mut cells: Vec<SweepCell> = by_ordinal.into_values().collect();
     cells.sort_by_key(|c| c.ordinal);
-    for cell in &cells {
-        rollups[ordinal_to_run[&cell.ordinal]].absorb(cell);
-    }
     let runs = plan
         .runs()
         .iter()
-        .zip(rollups)
-        .map(|(&(costing, verify), rollup)| SweepRun {
-            costing: costing_label(costing),
-            verify: verify.label(),
-            threads: 0,
-            wall_clock: Duration::ZERO,
-            cache: None,
-            by_topology: rollup.by_topology(),
-            by_calibration: rollup.by_calibration(),
-            verification: rollup.verification(),
-            fleet: rollup.fleet(),
-            trace: Trace::default(),
+        .enumerate()
+        .map(|(i, &run)| {
+            let of_run = cells.iter().filter(|c| ordinal_to_run[&c.ordinal] == i);
+            sweep_run(run, of_run, None)
         })
         .collect();
     Ok(SweepOutcome {

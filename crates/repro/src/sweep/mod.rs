@@ -38,10 +38,11 @@
 //! - `rollup`: streaming summaries over an exact, order-independent
 //!   accumulator ([`ExactSum`]), so cells folded in any order — live
 //!   completions, journal restores, merged shards — give identical bytes.
-//! - `exec`: streaming shard execution — [`run_sweep_shard`] folds each
-//!   engine report into the rollups as it lands (peak retention
-//!   O(in-flight), not O(grid)), and [`merge_reports`] recombines shard
-//!   reports into the single-process outcome.
+//! - `exec`: streaming shard execution — [`run_sweep_shard`] turns each
+//!   engine or fleet report into a cell as it lands (report retention
+//!   O(in-flight), not O(grid)) and folds each run's cells into its
+//!   rollups once, and [`merge_reports`] recombines shard reports into
+//!   the single-process outcome.
 //! - `checkpoint`: the append-only completed-cell [`Journal`] behind
 //!   `--journal`/`--resume`, and the shared JSONL dialect for shard
 //!   reports and the `--out` mirror.
@@ -67,7 +68,10 @@ pub use cell::{costing_label, CellId, PlannedCell, SweepCell, SweepPlan};
 pub use checkpoint::{parse_journal, read_journal, Journal, JournalContents, Meta};
 pub use exec::{merge_reports, run_sweep, run_sweep_shard, ShardOptions, SweepOutcome};
 pub use render::splice_shard_traces;
-pub use rollup::{ExactSum, FleetEpochSummary, FleetSummary, RunRollup, SweepRun};
+pub use rollup::{
+    CalibrationSummary, ExactSum, FleetEpochSummary, FleetSummary, RunRollup, SweepRun,
+    TopologySummary,
+};
 pub use spec::{
     parse_calibration, parse_drift, parse_topology, CalibrationParseError, DriftParseError,
     DriftScenario, SweepError, SweepSpec, TopologyParseError,

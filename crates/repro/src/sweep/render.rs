@@ -12,6 +12,7 @@
 use super::checkpoint::{self, Meta};
 use super::exec::SweepOutcome;
 use paradrive_engine::Trace;
+use paradrive_obs::json;
 use std::fmt::Write as _;
 
 impl SweepOutcome {
@@ -273,7 +274,7 @@ impl SweepOutcome {
                 let _ = writeln!(
                     out,
                     "{{\"type\":\"rollup\",{head},\"axis\":\"topology\",\"key\":{},\"cells\":{},\"swaps\":{},\"mean_reduction_pct\":{}}}",
-                    checkpoint::escape(&g.topology),
+                    json::escape(&g.topology),
                     g.circuits,
                     g.total_swaps,
                     checkpoint::fmt_f64(g.mean_reduction_pct),
@@ -283,7 +284,7 @@ impl SweepOutcome {
                 let _ = writeln!(
                     out,
                     "{{\"type\":\"rollup\",{head},\"axis\":\"calibration\",\"key\":{},\"cells\":{},\"swaps\":{},\"mean_reduction_pct\":{},\"mean_optimized_ft\":{}}}",
-                    checkpoint::escape(&g.calibration),
+                    json::escape(&g.calibration),
                     g.circuits,
                     g.total_swaps,
                     checkpoint::fmt_f64(g.mean_reduction_pct),

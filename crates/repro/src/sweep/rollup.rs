@@ -13,9 +13,7 @@
 //! performs the one and only rounding (round-half-even, like IEEE itself).
 
 use super::cell::SweepCell;
-use paradrive_engine::{
-    CacheStats, CalibrationSummary, TopologySummary, Trace, Verification, VerificationSummary,
-};
+use paradrive_engine::{CacheStats, Trace, VerificationSummary};
 use std::time::Duration;
 
 /// Limb count: 2176 bits covers bit −1074 (the smallest subnormal) up to
@@ -296,33 +294,39 @@ pub struct FleetSummary {
     pub retranspile_rate: f64,
 }
 
-/// Verification rollup: verdict counts plus the fidelity minimum
-/// (both order-independent).
-#[derive(Debug, Clone)]
-struct VerifyAcc {
-    any: bool,
-    exact: usize,
-    mps: usize,
-    sampled: usize,
-    skipped: usize,
-    errors: usize,
-    failed: usize,
-    min_fidelity: f64,
+/// Aggregate outcome for every cell of a run sharing one coupling
+/// topology.
+#[derive(Debug, Clone, PartialEq)]
+pub struct TopologySummary {
+    /// Topology label (see `CouplingMap::label`).
+    pub topology: String,
+    /// Number of cells routed on this topology.
+    pub circuits: usize,
+    /// Total SWAPs inserted across those cells.
+    pub total_swaps: usize,
+    /// Mean duration reduction over those cells, percent.
+    pub mean_reduction_pct: f64,
 }
 
-impl Default for VerifyAcc {
-    fn default() -> Self {
-        VerifyAcc {
-            any: false,
-            exact: 0,
-            mps: 0,
-            sampled: 0,
-            skipped: 0,
-            errors: 0,
-            failed: 0,
-            min_fidelity: f64::INFINITY,
-        }
-    }
+/// Aggregate outcome for every cell of a run sharing one device
+/// calibration.
+#[derive(Debug, Clone, PartialEq)]
+pub struct CalibrationSummary {
+    /// Calibration label (see `Calibration::label`).
+    pub calibration: String,
+    /// Number of cells scored under this calibration.
+    pub circuits: usize,
+    /// Total SWAPs inserted across those cells.
+    pub total_swaps: usize,
+    /// Mean duration reduction over those cells, percent.
+    pub mean_reduction_pct: f64,
+    /// Mean optimized total fidelity `F_T` over those cells — the
+    /// headline number noise-aware routing is judged on. The per-wire
+    /// decay term uses the circuit's initial-layout wires (Eq. 11's
+    /// convention, kept for bit-compatibility with the homogeneous
+    /// model); routing quality enters through the duration and the
+    /// per-edge gate-error survival product.
+    pub mean_optimized_ft: f64,
 }
 
 /// The streaming rollup state for one (costing, verification) engine run:
@@ -333,7 +337,7 @@ impl Default for VerifyAcc {
 pub struct RunRollup {
     by_topology: Vec<GroupAcc>,
     by_calibration: Vec<GroupAcc>,
-    verification: VerifyAcc,
+    verification: Option<VerificationSummary>,
     fleet: Vec<EpochAcc>,
 }
 
@@ -348,21 +352,7 @@ impl RunRollup {
         absorb_into(&mut self.by_topology, &cell.topology, cell);
         absorb_into(&mut self.by_calibration, &cell.calibration, cell);
         if let Some(v) = &cell.verification {
-            let acc = &mut self.verification;
-            acc.any = true;
-            match v {
-                Verification::Exact { .. } => acc.exact += 1,
-                Verification::Mps { .. } => acc.mps += 1,
-                Verification::Sampled { .. } => acc.sampled += 1,
-                Verification::Skipped { .. } => acc.skipped += 1,
-                Verification::Error { .. } => acc.errors += 1,
-            }
-            if v.failed() {
-                acc.failed += 1;
-            }
-            if let Some(f) = v.fidelity() {
-                acc.min_fidelity = acc.min_fidelity.min(f);
-            }
+            self.verification = VerificationSummary::fold(self.verification.take(), v);
         }
         if cell.decision != "-" {
             let acc = match self.fleet.iter_mut().find(|e| e.epoch == cell.epoch) {
@@ -459,23 +449,7 @@ impl RunRollup {
     /// The run-wide verification rollup, or `None` when no absorbed cell
     /// carried a verdict (verification off).
     pub fn verification(&self) -> Option<VerificationSummary> {
-        if !self.verification.any {
-            return None;
-        }
-        let acc = &self.verification;
-        Some(VerificationSummary {
-            exact: acc.exact,
-            mps: acc.mps,
-            sampled: acc.sampled,
-            skipped: acc.skipped,
-            errors: acc.errors,
-            failed: acc.failed,
-            min_fidelity: if acc.min_fidelity == f64::INFINITY {
-                f64::NAN
-            } else {
-                acc.min_fidelity
-            },
-        })
+        self.verification.clone()
     }
 }
 
@@ -811,6 +785,7 @@ mod tests {
 
     #[test]
     fn rollup_verification_counts_and_min_fidelity() {
+        use paradrive_engine::Verification;
         let mut a = cell(0, "grid4x4", "uniform", 10.0);
         a.verification = Some(Verification::Exact {
             fidelity: 1.0,
