@@ -7,7 +7,13 @@
 //! Costs are expressed in normalized iSWAP-pulse units (`D[iSWAP] = 1`),
 //! assuming the linear speed limit of the paper's evaluation section, i.e.
 //! `D[√iSWAP] = 0.5`.
+//!
+//! General-class targets are looked up in three Monte-Carlo coverage
+//! stacks. Building them is the paper's Algorithm 2, an offline step:
+//! [`bake_hull_stacks`] runs it, `crates/core/src/baked.rs` holds its
+//! exact output, and the first lookup in a process decodes that table.
 
+use crate::baked;
 use paradrive_coverage::scores::{build_stack, BuildOptions};
 use paradrive_coverage::CoverageStack;
 use paradrive_optimizer::{TemplateSpec, TemplateSynthesizer};
@@ -16,6 +22,7 @@ use paradrive_weyl::WeylPoint;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::f64::consts::FRAC_PI_2;
+use std::fmt::Write as _;
 use std::sync::OnceLock;
 
 const CLASS_TOL: f64 = 1e-6;
@@ -40,64 +47,162 @@ pub fn is_swap(p: WeylPoint) -> bool {
     p.chamber_dist(WeylPoint::SWAP) < CLASS_TOL
 }
 
-fn baseline_stack() -> &'static CoverageStack {
-    static STACK: OnceLock<CoverageStack> = OnceLock::new();
-    STACK.get_or_init(|| {
-        let mut rng = StdRng::seed_from_u64(0x5157_1547);
+/// One coverage stack behind hull costing: the Algorithm-2 inputs that
+/// build it, and the `baked.rs` static holding that build's words.
+struct StackDef {
+    name: &'static str,
+    basis_point: WeylPoint,
+    seed: u64,
+    spec_for_k: fn(usize) -> TemplateSpec,
+    options: BuildOptions,
+    /// The static's identifier in `baked.rs`, and the static itself.
+    ident: &'static str,
+    baked: &'static [u64],
+}
+
+impl StackDef {
+    /// Runs Algorithm 2 from the fixed seed: the slow, offline step.
+    fn build(&self) -> CoverageStack {
+        let mut rng = StdRng::seed_from_u64(self.seed);
         build_stack(
-            "sqrt_iSWAP",
-            WeylPoint::SQRT_ISWAP,
-            |k| TemplateSpec::sqrt_iswap_basis(k).without_parallel_drive(),
-            BuildOptions {
-                max_k: 3,
-                samples_per_k: 1600,
-                exterior_restarts: 4,
-                full_coverage_probe: 0,
-            },
+            self.name,
+            self.basis_point,
+            self.spec_for_k,
+            self.options,
             &mut rng,
         )
-        .expect("baseline stack construction cannot fail")
+        .unwrap_or_else(|e| panic!("{} stack construction failed: {e}", self.name))
+    }
+
+    /// The stack as baked: the same bits [`StackDef::build`] produced.
+    fn decode(&self) -> CoverageStack {
+        CoverageStack::decode(self.name, self.basis_point, self.baked)
+            .unwrap_or_else(|| panic!("baked.rs holds no valid {} stack", self.ident))
+    }
+}
+
+/// The stacks hull costing queries, in `baked.rs` order: the baseline's
+/// plain √iSWAP stack, then the parallel-driven iSWAP and √iSWAP stacks
+/// the optimized rules query jointly.
+static STACK_DEFS: [StackDef; 3] = [
+    StackDef {
+        name: "sqrt_iSWAP",
+        basis_point: WeylPoint::SQRT_ISWAP,
+        seed: 0x5157_1547,
+        spec_for_k: |k| TemplateSpec::sqrt_iswap_basis(k).without_parallel_drive(),
+        options: BuildOptions {
+            max_k: 3,
+            samples_per_k: 1600,
+            exterior_restarts: 4,
+            full_coverage_probe: 0,
+        },
+        ident: "BASELINE",
+        baked: &baked::BASELINE,
+    },
+    StackDef {
+        name: "iSWAP+PD",
+        basis_point: WeylPoint::ISWAP,
+        seed: 0x1547_9d00,
+        spec_for_k: TemplateSpec::iswap_basis,
+        options: BuildOptions {
+            max_k: 2,
+            samples_per_k: 1200,
+            exterior_restarts: 4,
+            full_coverage_probe: 0,
+        },
+        ident: "ISWAP_PD",
+        baked: &baked::ISWAP_PD,
+    },
+    StackDef {
+        name: "sqrt_iSWAP+PD",
+        basis_point: WeylPoint::SQRT_ISWAP,
+        seed: 0x5153_9d00,
+        spec_for_k: TemplateSpec::sqrt_iswap_basis,
+        options: BuildOptions {
+            max_k: 3,
+            samples_per_k: 1200,
+            exterior_restarts: 4,
+            full_coverage_probe: 0,
+        },
+        ident: "SQRT_ISWAP_PD",
+        baked: &baked::SQRT_ISWAP_PD,
+    },
+];
+
+/// The stacks of [`STACK_DEFS`], decoded from `baked.rs` on first use.
+fn stacks() -> &'static [CoverageStack; 3] {
+    static STACKS: OnceLock<[CoverageStack; 3]> = OnceLock::new();
+    STACKS.get_or_init(|| STACK_DEFS.each_ref().map(StackDef::decode))
+}
+
+/// The shell steps that regenerate `crates/core/src/baked.rs`. The binary
+/// is built first: `cargo run` behind the redirect would truncate the
+/// file before compiling the crate that includes it.
+const BAKE_STEPS: [&str; 2] = [
+    "cargo build --release -p paradrive-repro --bin bake_hulls",
+    "target/release/bake_hulls > crates/core/src/baked.rs",
+];
+
+/// Rebuilds the hull-costing stacks from their fixed seeds and renders
+/// them as the source of `crates/core/src/baked.rs`, the table
+/// [`BaselineSqrtIswap`] and [`ParallelDriveRules`] decode at runtime.
+///
+/// This runs the paper's Algorithm 2, the offline step (tens of seconds),
+/// on one scoped thread per stack; each stack owns its seeded RNG, so the
+/// bits do not depend on scheduling. The `bake_hulls` binary prints it.
+pub fn bake_hull_stacks() -> String {
+    render_baked(&build_stacks())
+}
+
+fn build_stacks() -> [CoverageStack; 3] {
+    std::thread::scope(|scope| {
+        STACK_DEFS
+            .each_ref()
+            .map(|def| scope.spawn(move || def.build()))
+            .map(|handle| handle.join().expect("a stack build panicked"))
     })
 }
 
-fn iswap_pd_stack() -> &'static CoverageStack {
-    static STACK: OnceLock<CoverageStack> = OnceLock::new();
-    STACK.get_or_init(|| {
-        let mut rng = StdRng::seed_from_u64(0x1547_9d00);
-        build_stack(
-            "iSWAP+PD",
-            WeylPoint::ISWAP,
-            TemplateSpec::iswap_basis,
-            BuildOptions {
-                max_k: 2,
-                samples_per_k: 1200,
-                exterior_restarts: 4,
-                full_coverage_probe: 0,
-            },
-            &mut rng,
-        )
-        .expect("iSWAP PD stack construction cannot fail")
-    })
-}
-
-fn sqrt_pd_stack() -> &'static CoverageStack {
-    static STACK: OnceLock<CoverageStack> = OnceLock::new();
-    STACK.get_or_init(|| {
-        let mut rng = StdRng::seed_from_u64(0x5153_9d00);
-        build_stack(
-            "sqrt_iSWAP+PD",
-            WeylPoint::SQRT_ISWAP,
-            TemplateSpec::sqrt_iswap_basis,
-            BuildOptions {
-                max_k: 3,
-                samples_per_k: 1200,
-                exterior_restarts: 4,
-                full_coverage_probe: 0,
-            },
-            &mut rng,
-        )
-        .expect("√iSWAP PD stack construction cannot fail")
-    })
+/// `baked.rs` for builds of [`STACK_DEFS`]: one `#[rustfmt::skip]` static
+/// of [`CoverageStack::encode`] words per stack, four to a line.
+fn render_baked(stacks: &[CoverageStack; 3]) -> String {
+    let mut out = String::from(
+        "//! The coverage stacks behind hull costing, baked from the paper's Algorithm 2.\n\
+         //!\n\
+         //! Generated file: do not edit by hand. Each static holds the\n\
+         //! `CoverageStack::encode` words of one stack as `rules.rs` builds it from\n\
+         //! its seed and options, and a test there rebuilds all three and compares\n\
+         //! this file byte for byte. Regenerate with:\n\
+         //!\n\
+         //! ```sh\n",
+    );
+    for step in BAKE_STEPS {
+        let _ = writeln!(out, "//! {step}");
+    }
+    out.push_str("//! ```\n");
+    for (def, stack) in STACK_DEFS.iter().zip(stacks) {
+        let words = stack.encode();
+        let _ = writeln!(
+            out,
+            "\n/// `{}`: seed {:#x}, K up to {}.",
+            def.name,
+            def.seed,
+            stack.max_k()
+        );
+        out.push_str("#[rustfmt::skip]\n");
+        let _ = writeln!(
+            out,
+            "pub(crate) static {}: [u64; {}] = [",
+            def.ident,
+            words.len()
+        );
+        for line in words.chunks(4) {
+            let line: Vec<String> = line.iter().map(|w| format!("{w:#018x},")).collect();
+            let _ = writeln!(out, "    {}", line.join(" "));
+        }
+        out.push_str("];\n");
+    }
+    out
 }
 
 /// The baseline: analytic √iSWAP decomposition without parallel drive
@@ -128,7 +233,8 @@ impl BaselineSqrtIswap {
         if is_swap(target) {
             return 3;
         }
-        baseline_stack()
+        let [baseline, _, _] = stacks();
+        baseline
             .min_k(target, paradrive_coverage::scores::CONTAINMENT_TOL)
             .unwrap_or(3)
             .min(3)
@@ -209,7 +315,8 @@ impl CostModel for ParallelDriveRules {
             one_q_layers: 4,
         }; // universal fallback: K = 3 √iSWAP
         let mut best_d = best.two_q_time + best.one_q_layers as f64 * self.d_1q;
-        let candidates = [(iswap_pd_stack(), 1.0_f64), (sqrt_pd_stack(), 0.5_f64)];
+        let [_, iswap_pd, sqrt_pd] = stacks();
+        let candidates = [(iswap_pd, 1.0_f64), (sqrt_pd, 0.5_f64)];
         for (stack, t_basis) in candidates {
             if let Some(k) = stack.min_k(target, tol) {
                 let cost = GateCost {
@@ -470,6 +577,39 @@ mod tests {
         assert_eq!(first, again, "synthesis costing must be deterministic");
         let d = total_duration(first, D1Q);
         assert!((1.0..=2.5 + 1e-9).contains(&d), "cost {d}");
+    }
+
+    /// The one test that runs Algorithm 2 for the hull-costing stacks: a
+    /// fresh build from [`STACK_DEFS`] must match every baked `K` word for
+    /// word and render `baked.rs` byte for byte.
+    #[test]
+    fn baked_stacks_match_a_fresh_build() {
+        let rebake = BAKE_STEPS.join(" && ");
+        let built = build_stacks();
+        for (def, fresh) in STACK_DEFS.iter().zip(&built) {
+            let baked = def.decode();
+            assert_eq!(
+                baked.max_k(),
+                fresh.max_k(),
+                "{}: baked K range differs from a fresh build; regenerate with `{rebake}`",
+                def.name
+            );
+            for k in 1..=fresh.max_k() {
+                let words = |stack: &CoverageStack| {
+                    CoverageStack::new(def.name, def.basis_point, vec![stack.set(k).clone()])
+                        .encode()
+                };
+                assert!(
+                    words(&baked) == words(fresh),
+                    "{} K = {k}: baked words differ from a fresh build; regenerate with `{rebake}`",
+                    def.name
+                );
+            }
+        }
+        assert!(
+            render_baked(&built) == include_str!("baked.rs"),
+            "baked.rs differs from its rendering; regenerate with `{rebake}`"
+        );
     }
 
     #[test]

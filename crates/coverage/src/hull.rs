@@ -210,6 +210,133 @@ impl ConvexRegion {
             _ => 0.0,
         }
     }
+
+    /// Appends the region's word encoding to `out`: a shape tag, then
+    /// every field in declaration order, floats as [`f64::to_bits`] and
+    /// lengths as plain words. A polytope stores its interior point and
+    /// each face's vertices, normal and offset, so decoding recomputes
+    /// nothing.
+    pub(crate) fn encode(&self, out: &mut Vec<u64>) {
+        fn put(out: &mut Vec<u64>, xs: &[f64]) {
+            out.extend(xs.iter().map(|x| x.to_bits()));
+        }
+        match self {
+            ConvexRegion::Empty => out.push(TAG_EMPTY),
+            ConvexRegion::Point(p) => {
+                out.push(TAG_POINT);
+                put(out, p);
+            }
+            ConvexRegion::Segment {
+                origin,
+                dir,
+                t_range,
+            } => {
+                out.push(TAG_SEGMENT);
+                put(out, origin);
+                put(out, dir);
+                put(out, &[t_range.0, t_range.1]);
+            }
+            ConvexRegion::Polygon {
+                origin,
+                u,
+                v,
+                verts,
+            } => {
+                out.push(TAG_POLYGON);
+                put(out, origin);
+                put(out, u);
+                put(out, v);
+                out.push(verts.len() as u64);
+                put(out, verts.as_flattened());
+            }
+            ConvexRegion::Polytope(h) => {
+                out.push(TAG_POLYTOPE);
+                put(out, &h.interior);
+                out.push(h.faces.len() as u64);
+                for f in &h.faces {
+                    put(out, f.verts.as_flattened());
+                    put(out, &f.normal);
+                    put(out, &[f.offset]);
+                }
+            }
+        }
+    }
+
+    /// Reads one region written by [`ConvexRegion::encode`] off the front
+    /// of `words`; `None` when the words run out or the tag is unknown.
+    pub(crate) fn decode(words: &mut Words<'_>) -> Option<Self> {
+        let tag = words.word()?;
+        Some(match tag {
+            TAG_EMPTY => ConvexRegion::Empty,
+            TAG_POINT => ConvexRegion::Point(words.p3()?),
+            TAG_SEGMENT => ConvexRegion::Segment {
+                origin: words.p3()?,
+                dir: words.p3()?,
+                t_range: (words.f64()?, words.f64()?),
+            },
+            TAG_POLYGON => ConvexRegion::Polygon {
+                origin: words.p3()?,
+                u: words.p3()?,
+                v: words.p3()?,
+                verts: (0..words.usize()?)
+                    .map(|_| Some([words.f64()?, words.f64()?]))
+                    .collect::<Option<_>>()?,
+            },
+            TAG_POLYTOPE => {
+                let interior = words.p3()?;
+                let faces = (0..words.usize()?)
+                    .map(|_| {
+                        Some(Face {
+                            verts: [words.p3()?, words.p3()?, words.p3()?],
+                            normal: words.p3()?,
+                            offset: words.f64()?,
+                        })
+                    })
+                    .collect::<Option<_>>()?;
+                ConvexRegion::Polytope(Hull3 { faces, interior })
+            }
+            _ => return None,
+        })
+    }
+}
+
+/// Shape tags of the word encoding, in [`ConvexRegion`] variant order.
+const TAG_EMPTY: u64 = 0;
+const TAG_POINT: u64 = 1;
+const TAG_SEGMENT: u64 = 2;
+const TAG_POLYGON: u64 = 3;
+const TAG_POLYTOPE: u64 = 4;
+
+/// A read cursor over a word encoding; every read is `None` once the
+/// words run out.
+pub(crate) struct Words<'a>(std::slice::Iter<'a, u64>);
+
+impl<'a> Words<'a> {
+    pub(crate) fn new(words: &'a [u64]) -> Self {
+        Words(words.iter())
+    }
+
+    fn word(&mut self) -> Option<u64> {
+        self.0.next().copied()
+    }
+
+    /// A length or count word.
+    pub(crate) fn usize(&mut self) -> Option<usize> {
+        usize::try_from(self.word()?).ok()
+    }
+
+    fn f64(&mut self) -> Option<f64> {
+        self.word().map(f64::from_bits)
+    }
+
+    fn p3(&mut self) -> Option<P3> {
+        Some([self.f64()?, self.f64()?, self.f64()?])
+    }
+
+    /// True once every word has been read.
+    pub(crate) fn is_done(&self) -> bool {
+        self.0.len() == 0
+    }
 }
 
 /// Andrew's monotone-chain 2-d convex hull; returns CCW vertices.
@@ -426,8 +553,11 @@ impl Hull3 {
                 format!("{kb}|{ka}")
             }
         };
-        let mut edge_count: std::collections::HashMap<String, (P3, P3, usize)> =
-            std::collections::HashMap::new();
+        // A sorted map, so the new faces are pushed in the same order on
+        // every build: `volume()` sums in face order, and the encoding
+        // lists faces in it.
+        let mut edge_count: std::collections::BTreeMap<String, (P3, P3, usize)> =
+            std::collections::BTreeMap::new();
         for &fi in &visible {
             let f = &self.faces[fi];
             for (a, b) in [(0, 1), (1, 2), (2, 0)] {
@@ -483,6 +613,45 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
+    /// Asserts that `region` decodes from its encoding to the same bits:
+    /// re-encoding gives the same words, and `contains` (at `probes`),
+    /// `volume`, `area` and `affine_dim` answer identically.
+    fn assert_round_trips(region: &ConvexRegion, probes: &[P3]) {
+        let mut words = Vec::new();
+        region.encode(&mut words);
+        let mut cursor = Words::new(&words);
+        let back = ConvexRegion::decode(&mut cursor).expect("an encoding decodes");
+        assert!(cursor.is_done(), "decode left words unread");
+        let mut again = Vec::new();
+        back.encode(&mut again);
+        assert_eq!(again, words, "re-encoding changed the words");
+        assert_eq!(back.affine_dim(), region.affine_dim());
+        assert_eq!(back.volume().to_bits(), region.volume().to_bits());
+        assert_eq!(back.area().to_bits(), region.area().to_bits());
+        for &p in probes {
+            for tol in [0.0, 1e-9, 1e-6, 1e-3] {
+                assert_eq!(
+                    back.contains(p, tol),
+                    region.contains(p, tol),
+                    "{p:?} at {tol}"
+                );
+            }
+        }
+    }
+
+    /// `n` random points on the unit sphere.
+    fn sphere_cloud(seed: u64, n: usize) -> Vec<P3> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        (0..n)
+            .map(|_| {
+                let z: f64 = rng.gen_range(-1.0..1.0);
+                let phi: f64 = rng.gen_range(0.0..std::f64::consts::TAU);
+                let r = (1.0 - z * z).sqrt();
+                [r * phi.cos(), r * phi.sin(), z]
+            })
+            .collect()
+    }
+
     #[test]
     fn unit_cube_hull() {
         let mut pts = Vec::new();
@@ -507,6 +676,8 @@ mod tests {
         assert!(region.contains([0.0, 0.0, 0.0], 1e-9));
         assert!(!region.contains([1.2, 0.5, 0.5], 1e-9));
         assert!(!region.contains([-0.1, 0.5, 0.5], 1e-9));
+        pts.extend([[1.2, 0.5, 0.5], [-0.1, 0.5, 0.5], [1.0 + 1e-8, 0.5, 0.5]]);
+        assert_round_trips(&region, &pts);
     }
 
     #[test]
@@ -519,6 +690,10 @@ mod tests {
         ];
         let region = ConvexRegion::from_points(&pts, 1e-9);
         assert!((region.volume() - 1.0 / 6.0).abs() < 1e-12);
+        assert_round_trips(
+            &region,
+            &[[0.2, 0.2, 0.2], [0.4, 0.4, 0.4], [-1e-7, 0.0, 0.0]],
+        );
     }
 
     #[test]
@@ -536,6 +711,9 @@ mod tests {
         assert!(region.contains([0.5, 0.5, 0.5], 1e-6));
         assert!(!region.contains([0.5, 0.5, 0.7], 1e-6)); // off the plane
         assert!(!region.contains([1.5, 0.5, 0.5], 1e-6)); // outside in-plane
+        let mut probes = pts.clone();
+        probes.extend([[0.5, 0.5, 0.7], [1.5, 0.5, 0.5], [1.0, 1.0, 0.5 + 1e-7]]);
+        assert_round_trips(&region, &probes);
     }
 
     #[test]
@@ -546,6 +724,9 @@ mod tests {
         assert!(region.contains([0.25, 0.25, 0.25], 1e-6));
         assert!(!region.contains([1.5, 1.5, 1.5], 1e-6));
         assert!(!region.contains([0.5, 0.5, 0.6], 1e-6));
+        let mut probes = pts.clone();
+        probes.extend([[0.25; 3], [1.5; 3], [0.5, 0.5, 0.6], [1.0 + 1e-7; 3]]);
+        assert_round_trips(&region, &probes);
     }
 
     #[test]
@@ -555,6 +736,10 @@ mod tests {
         assert_eq!(region.affine_dim(), Some(0));
         assert!(region.contains([0.3, 0.2, 0.1], 1e-9));
         assert!(!region.contains([0.4, 0.2, 0.1], 1e-3));
+        assert_round_trips(
+            &region,
+            &[[0.3, 0.2, 0.1], [0.4, 0.2, 0.1], [0.3, 0.2, 0.1 + 1e-7]],
+        );
     }
 
     #[test]
@@ -563,23 +748,43 @@ mod tests {
         assert_eq!(region.affine_dim(), None);
         assert!(!region.contains([0.0; 3], 1.0));
         assert_eq!(region.volume(), 0.0);
+        assert_round_trips(&region, &[[0.0; 3]]);
     }
 
     #[test]
     fn random_sphere_hull_volume() {
         // Hull of many random points on a unit sphere approaches 4π/3.
-        let mut rng = StdRng::seed_from_u64(11);
-        let mut pts = Vec::new();
-        for _ in 0..600 {
-            let z: f64 = rng.gen_range(-1.0..1.0);
-            let phi: f64 = rng.gen_range(0.0..std::f64::consts::TAU);
-            let r = (1.0 - z * z).sqrt();
-            pts.push([r * phi.cos(), r * phi.sin(), z]);
-        }
+        let pts = sphere_cloud(11, 600);
         let region = ConvexRegion::from_points(&pts, 1e-9);
         let v = region.volume();
         let ball = 4.0 * std::f64::consts::PI / 3.0;
         assert!(v > 0.9 * ball && v <= ball + 1e-9, "volume {v} vs {ball}");
+        assert_round_trips(&region, &pts);
+    }
+
+    #[test]
+    fn hull_face_order_is_deterministic() {
+        // `volume()` sums in face order, and the encoding lists faces in
+        // it, so repeated builds of one cloud must order faces alike; a
+        // horizon-edge map seeded per instance reordered them every build.
+        let pts = sphere_cloud(11, 600);
+        let build = || {
+            let region = ConvexRegion::from_points(&pts, 1e-9);
+            let mut words = Vec::new();
+            region.encode(&mut words);
+            (words, region.volume().to_bits())
+        };
+        let (first, first_volume) = build();
+        for attempt in 1..8 {
+            let (words, volume) = build();
+            let moved = words.iter().zip(&first).filter(|(a, b)| a != b).count();
+            assert_eq!(
+                (words.len(), moved),
+                (first.len(), 0),
+                "build {attempt} encoded differently"
+            );
+            assert_eq!(volume, first_volume, "build {attempt} summed differently");
+        }
     }
 
     proptest! {
@@ -594,6 +799,7 @@ mod tests {
             for &p in &pts {
                 prop_assert!(region.contains(p, 1e-7), "input point escaped hull");
             }
+            assert_round_trips(&region, &pts);
         }
 
         #[test]

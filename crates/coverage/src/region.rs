@@ -5,7 +5,7 @@
 //! the `c1 = π/2` plane into left and right clouds before hull construction
 //! — local-equivalence geometry guarantees convexity only within each half.
 
-use crate::hull::{ConvexRegion, P3};
+use crate::hull::{ConvexRegion, Words, P3};
 use paradrive_weyl::WeylPoint;
 use std::f64::consts::{FRAC_PI_2, PI};
 
@@ -81,6 +81,20 @@ impl CoverageSet {
             (None, None) => None,
         }
     }
+
+    fn encode(&self, out: &mut Vec<u64>) {
+        out.push(self.sample_count as u64);
+        self.left.encode(out);
+        self.right.encode(out);
+    }
+
+    fn decode(words: &mut Words<'_>) -> Option<Self> {
+        Some(CoverageSet {
+            sample_count: words.usize()?,
+            left: ConvexRegion::decode(words)?,
+            right: ConvexRegion::decode(words)?,
+        })
+    }
 }
 
 /// A per-`K` stack of coverage sets for one basis gate.
@@ -99,6 +113,33 @@ impl CoverageStack {
             basis_point,
             sets,
         }
+    }
+
+    /// The stack's coverage sets as flat words: the set count, then per
+    /// `K` the sample count and both halves' regions, every float as its
+    /// [`f64::to_bits`] and every polytope face as stored. The name and
+    /// basis point are not included; [`CoverageStack::decode`] takes them
+    /// as arguments.
+    pub fn encode(&self) -> Vec<u64> {
+        let mut out = vec![self.sets.len() as u64];
+        for set in &self.sets {
+            set.encode(&mut out);
+        }
+        out
+    }
+
+    /// Rebuilds a stack from the words of [`CoverageStack::encode`]
+    /// without recomputing any hull, so `contains`, `volume`,
+    /// `sample_count` and `affine_dim` read the encoded stack's bits.
+    /// `None` unless `words` is exactly one encoding.
+    pub fn decode(name: impl Into<String>, basis_point: WeylPoint, words: &[u64]) -> Option<Self> {
+        let mut words = Words::new(words);
+        let sets = (0..words.usize()?)
+            .map(|_| CoverageSet::decode(&mut words))
+            .collect::<Option<_>>()?;
+        words
+            .is_done()
+            .then(|| CoverageStack::new(name, basis_point, sets))
     }
 
     /// The basis-gate name.
@@ -213,6 +254,15 @@ mod tests {
         assert_eq!(stack.min_k(WeylPoint::CNOT, 1e-6), Some(2));
         assert_eq!(stack.min_k(WeylPoint::SWAP, 1e-6), None);
         assert_eq!(stack.max_k(), 2);
+        // The word encoding round-trips, and only a whole encoding decodes.
+        let words = stack.encode();
+        let back = CoverageStack::decode("test", WeylPoint::SQRT_ISWAP, &words).unwrap();
+        assert_eq!(back.encode(), words);
+        assert_eq!(back.min_k(WeylPoint::CNOT, 1e-6), Some(2));
+        assert_eq!(back.set(2).sample_count(), stack.set(2).sample_count());
+        let decode = |w: &[u64]| CoverageStack::decode("test", WeylPoint::SQRT_ISWAP, w);
+        assert!(decode(&words[..words.len() - 1]).is_none());
+        assert!(decode(&[words.as_slice(), &[0]].concat()).is_none());
     }
 
     #[test]

@@ -513,10 +513,10 @@ mod tests {
     use paradrive_circuit::benchmarks;
     use paradrive_transpiler::topology::CouplingMap;
 
-    /// Family-class circuits only (CNOT/iSWAP/SWAP blocks), so the lazily
-    /// built Monte-Carlo coverage stacks are never consulted and the tests
-    /// stay fast; the repo-level `engine_determinism` integration test
-    /// covers the general-class path.
+    /// Family-class circuits only (CNOT/iSWAP/SWAP blocks), so every
+    /// block takes an analytic cost and these tests exercise the engine,
+    /// not the coverage-stack lookup; the repo-level `engine_determinism`
+    /// integration test covers the general-class path.
     fn small_batch() -> Batch {
         let mut b = Batch::new(CouplingMap::grid(3, 3));
         b.push("ghz8", benchmarks::ghz(8));

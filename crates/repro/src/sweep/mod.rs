@@ -74,7 +74,7 @@ pub use rollup::{
 };
 pub use spec::{
     parse_calibration, parse_drift, parse_topology, CalibrationParseError, DriftParseError,
-    DriftScenario, SweepError, SweepSpec, TopologyParseError,
+    DriftScenario, SweepError, SweepSpec, TopologyParseError, MAX_TOPOLOGY_QUBITS,
 };
 
 #[cfg(test)]

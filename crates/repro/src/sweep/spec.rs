@@ -109,6 +109,11 @@ impl SweepSpec {
     }
 }
 
+/// The largest device [`parse_topology`] builds, in qubits. The coupling
+/// map keeps an all-pairs distance table, so this caps it at 128 MiB; the
+/// largest zoo topology, `heavyhex6`, has 81 qubits.
+pub const MAX_TOPOLOGY_QUBITS: usize = 4096;
+
 /// A rejected topology spec, with the reason classified.
 ///
 /// Every variant carries the offending input verbatim so batch callers
@@ -130,6 +135,10 @@ pub enum TopologyParseError {
         /// Which dimension (0-based, in grammar order) was zero.
         position: usize,
     },
+    /// The dimensions describe more than [`MAX_TOPOLOGY_QUBITS`] qubits
+    /// (or a count that overflows `usize`): a device the constructors
+    /// would abort or panic trying to allocate.
+    TooLarge(String),
     /// The dimensions were well-formed but the topology constructor
     /// rejected their combination (e.g. more inter-chip links than chip
     /// qubits).
@@ -157,6 +166,10 @@ impl std::fmt::Display for TopologyParseError {
                 "degenerate topology `{name}`: dimension {} is zero",
                 position + 1
             ),
+            TopologyParseError::TooLarge(name) => write!(
+                f,
+                "topology `{name}` has more than {MAX_TOPOLOGY_QUBITS} qubits"
+            ),
             TopologyParseError::Rejected { name, reason } => {
                 write!(f, "invalid topology `{name}`: {reason}")
             }
@@ -175,7 +188,8 @@ impl std::error::Error for TopologyParseError {}
 ///
 /// Returns a [`TopologyParseError`] classifying the rejection: unknown
 /// family, malformed dimensions, a zero dimension (`ring0`,
-/// `heavy_hex0`, `modular0x4x1`, …), or constructor-level rejection.
+/// `heavy_hex0`, `modular0x4x1`, …), more than [`MAX_TOPOLOGY_QUBITS`]
+/// qubits, or constructor-level rejection.
 pub fn parse_topology(name: &str) -> Result<CouplingMap, TopologyParseError> {
     let flat: String = name
         .chars()
@@ -194,24 +208,43 @@ pub fn parse_topology(name: &str) -> Result<CouplingMap, TopologyParseError> {
             position,
         })
     };
+    // The qubit count, computed with checked arithmetic (`None` on
+    // overflow), must fit under the cap before any constructor runs.
+    let bounded = |qubits: Option<usize>| -> Result<(), TopologyParseError> {
+        match qubits {
+            Some(n) if n <= MAX_TOPOLOGY_QUBITS => Ok(()),
+            _ => Err(TopologyParseError::TooLarge(name.to_string())),
+        }
+    };
     if let Some(rest) = flat.strip_prefix("grid") {
         let d = dims(rest)?;
         let [rows, cols] = d[..] else {
             return Err(malformed());
         };
-        return Ok(CouplingMap::grid(positive(rows, 0)?, positive(cols, 1)?));
+        let (rows, cols) = (positive(rows, 0)?, positive(cols, 1)?);
+        bounded(rows.checked_mul(cols))?;
+        return Ok(CouplingMap::grid(rows, cols));
     }
     if let Some(rest) = flat.strip_prefix("line") {
         let n: usize = rest.parse().map_err(|_| malformed())?;
-        return Ok(CouplingMap::line(positive(n, 0)?));
+        bounded(Some(positive(n, 0)?))?;
+        return Ok(CouplingMap::line(n));
     }
     if let Some(rest) = flat.strip_prefix("ring") {
         let n: usize = rest.parse().map_err(|_| malformed())?;
-        return Ok(CouplingMap::ring(positive(n, 0)?));
+        bounded(Some(positive(n, 0)?))?;
+        return Ok(CouplingMap::ring(n));
     }
     if let Some(rest) = flat.strip_prefix("heavyhex") {
         let d: usize = rest.parse().map_err(|_| malformed())?;
-        return Ok(CouplingMap::heavy_hex(positive(d, 0)?));
+        let d = positive(d, 0)?;
+        // (5d² − 3d) / 2 qubits; 3d ≤ 5d² whenever 5d² fits.
+        bounded(
+            d.checked_mul(d)
+                .and_then(|d2| d2.checked_mul(5))
+                .map(|five_d2| (five_d2 - 3 * d) / 2),
+        )?;
+        return Ok(CouplingMap::heavy_hex(d));
     }
     if let Some(rest) = flat.strip_prefix("modular") {
         let d = dims(rest)?;
@@ -223,6 +256,7 @@ pub fn parse_topology(name: &str) -> Result<CouplingMap, TopologyParseError> {
         // positive for the device to exist at all.
         positive(chips, 0)?;
         positive(size, 1)?;
+        bounded(chips.checked_mul(size))?;
         return CouplingMap::modular(chips, size, links).map_err(|e| {
             TopologyParseError::Rejected {
                 name: name.to_string(),
@@ -634,6 +668,23 @@ mod tests {
             ("heavy-hex0", zero("heavy-hex0", 0)),
             ("modular0x4x1", zero("modular0x4x1", 0)),
             ("modular2x0x1", zero("modular2x0x1", 1)),
+            // Oversized devices, rejected before any constructor
+            // allocates: these used to abort on a failed allocation or
+            // panic with `capacity overflow`.
+            ("grid100000x100000", E::TooLarge("grid100000x100000".into())),
+            (
+                "heavyhex4000000000",
+                E::TooLarge("heavyhex4000000000".into()),
+            ),
+            (
+                "modular100000x100000x1",
+                E::TooLarge("modular100000x100000x1".into()),
+            ),
+            (
+                "line18446744073709551615",
+                E::TooLarge("line18446744073709551615".into()),
+            ),
+            ("ring4097", E::TooLarge("ring4097".into())),
         ];
         for (spec, expected) in table {
             assert_eq!(
