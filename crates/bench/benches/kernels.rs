@@ -1,7 +1,8 @@
 //! Micro-kernels underpinning every experiment: matrix exponentials,
 //! Weyl-coordinate extraction, Haar sampling, simplex steps — and the
 //! statevector gate-apply kernels, measured on both engines so the
-//! scalar-vs-lanes speedup is part of the tracked perf trajectory.
+//! scalar-vs-lanes speedup of the dense kernels is part of the tracked
+//! perf trajectory.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use paradrive_circuit::{Circuit, OneQ, TwoQ};
@@ -52,6 +53,8 @@ fn bench_nelder_mead(c: &mut Criterion) {
 /// A 20-qubit apply-heavy layer spanning every kernel regime: contiguous
 /// high-bit 1Q/2Q runs, the strided low-bit 1Q patterns, and a low-bit 2Q
 /// block — 17 gates, all unitary, so repeated application is stable.
+/// H, CX, Rz and iSWAP all have a shape, so both paths run the same
+/// shaped kernels here.
 fn apply_heavy_20q() -> Circuit {
     let n = 20;
     let mut c = Circuit::new(n);
@@ -68,19 +71,48 @@ fn apply_heavy_20q() -> Circuit {
     c
 }
 
-/// The tentpole's headline number: the same 20-qubit workload through the
-/// scalar reference kernels and the lane-parallel engine. The tracked
-/// expectation is lanes ≥ 1.5× scalar on AVX2 hosts.
+/// The same regimes as [`apply_heavy_20q`], in gates with no shape: U3
+/// rotations and seeded Haar-random 4×4 blocks, so every apply runs the
+/// dense kernels of the chosen path.
+fn apply_dense_20q() -> Circuit {
+    let n = 20;
+    let mut rng = StdRng::seed_from_u64(3);
+    let mut c = Circuit::new(n);
+    for q in (0..n).step_by(3) {
+        c.push_1q(OneQ::U3(0.3, 0.5, 0.7), q);
+    }
+    for a in [0, 5, 9, 13, 17] {
+        c.push_2q(
+            TwoQ::Unitary(Box::new(random_unitary(4, &mut rng))),
+            a,
+            a + 1,
+        );
+    }
+    for q in (1..n).step_by(5) {
+        c.push_1q(OneQ::U3(1.1, -0.4, 0.2), q);
+    }
+    c.push_2q(TwoQ::Unitary(Box::new(random_unitary(4, &mut rng))), 18, 19);
+    c
+}
+
+/// Both 20-qubit workloads through the scalar reference kernels and the
+/// lane-parallel engine. On `apply_dense_20q` the tracked expectation is
+/// lanes ≥ 1.5× scalar on AVX2 hosts; on `apply_heavy_20q` both paths
+/// run the same shaped kernels.
 fn bench_statevector_apply(c: &mut Criterion) {
-    let circuit = apply_heavy_20q();
     let mut st = State::zero(20);
-    for (path, label) in [(KernelPath::Scalar, "scalar"), (KernelPath::Lanes, "lanes")] {
-        // Warm once so the register (and any lazily-built state) exists
-        // before timing starts.
-        st.apply_circuit_with(&circuit, path).unwrap();
-        c.bench_function(&format!("kernels/apply_heavy_20q/{label}"), |b| {
-            b.iter(|| st.apply_circuit_with(black_box(&circuit), path).unwrap())
-        });
+    for (name, circuit) in [
+        ("apply_heavy_20q", apply_heavy_20q()),
+        ("apply_dense_20q", apply_dense_20q()),
+    ] {
+        for (path, label) in [(KernelPath::Scalar, "scalar"), (KernelPath::Lanes, "lanes")] {
+            // Warm once so the register (and any lazily-built state)
+            // exists before timing starts.
+            st.apply_circuit_with(&circuit, path).unwrap();
+            c.bench_function(&format!("kernels/{name}/{label}"), |b| {
+                b.iter(|| st.apply_circuit_with(black_box(&circuit), path).unwrap())
+            });
+        }
     }
 }
 

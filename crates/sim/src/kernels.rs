@@ -1,26 +1,58 @@
-//! The gate-application kernels, in two bit-identical flavours.
+//! The gate-application kernels: shaped kernels for structured matrices,
+//! and dense kernels in two bit-identical flavours.
 //!
-//! [`KernelPath::Scalar`] is the PR 5 branch-free reference: zero-bit
-//! insertion enumerates each amplitude block once, in ascending memory
-//! order, with the matrix entries in locals. [`KernelPath::Lanes`] is the
-//! lane-parallel engine: the same block enumeration, but rewritten around
-//! the observation that a target bit `b` partitions the register into
-//! contiguous *runs* of `b` amplitudes, so the kernel walks pairs (1Q) or
-//! quads (2Q) of runs and mixes them four amplitudes at a time with
-//! packed `f64x4`-style re/im arithmetic (the crate-private `F64x4`).
+//! # Shapes
+//!
+//! The two gate dispatchers (`apply_1q`, `apply_2q`) sort each matrix by
+//! exact comparison of its entries, before the Scalar/Lanes split, so
+//! both paths run the same code for a shaped gate:
+//!
+//! - *Monomial*: every row has exactly one nonzero entry — CZ, CPhase,
+//!   Rzz, iSWAP, Rz, S, T, and the permutations CX, SWAP, X and CX·SWAP.
+//!   The kernel moves each amplitude into place (runs of eight or more
+//!   as whole slices) and multiplies it by its entry unless the entry is
+//!   exactly `1+0i`. A permutation therefore only moves amplitudes.
+//! - *Real*: every imaginary part is exactly zero — H, Ry and real fused
+//!   blocks. The kernel multiplies real by complex.
+//! - *Dense*: everything else, on the engine the caller chose.
+//!
+//! Only exact equality counts: an entry 1e-300 away from zero is nonzero,
+//! and a unit entry of `1+ε` is a product like any other.
+//!
+//! The dense engines: [`KernelPath::Scalar`] is the branch-free
+//! reference: zero-bit insertion enumerates each amplitude block once, in
+//! ascending memory order, with the matrix entries in locals.
+//! [`KernelPath::Lanes`] is the lane-parallel engine: the same block
+//! enumeration, but rewritten around the observation that a target bit
+//! `b` partitions the register into contiguous *runs* of `b` amplitudes,
+//! so the kernel walks pairs (1Q) or quads (2Q) of runs and mixes them
+//! four amplitudes at a time with packed `f64x4`-style re/im arithmetic
+//! (the crate-private `F64x4`). The shaped kernels walk the same runs.
 //!
 //! # Bit identity
 //!
-//! Every amplitude sees the *identical* floating-point expression on both
-//! paths — `g00·a + g01·b` evaluated as two complex products summed left
-//! to right, each product `(re·re − im·im, re·im + im·re)` — only the
-//! *grouping of independent amplitudes into lanes* differs. Rust never
-//! contracts separate mul/add into FMA, and IEEE-754 `+`/`×` are
-//! commutative on the bit level (modulo NaN payloads that unitary
-//! evolution never produces), so the two engines agree bit for bit. The
-//! `kernel_equivalence` proptest suite asserts exactly that, and the
-//! repo's 1-vs-N-thread determinism discipline therefore survives the
+//! Between the dense engines, every amplitude sees the *identical*
+//! floating-point expression — `g00·a + g01·b` evaluated as two complex
+//! products summed left to right, each product `(re·re − im·im, re·im +
+//! im·re)` — only the *grouping of independent amplitudes into lanes*
+//! differs. Rust never contracts separate mul/add into FMA, and IEEE-754
+//! `+`/`×` are commutative on the bit level (modulo NaN payloads that
+//! unitary evolution never produces), so the two engines agree bit for
+//! bit. The `kernel_equivalence` proptest suite asserts exactly that, and
+//! the repo's 1-vs-N-thread determinism discipline therefore survives the
 //! lane engine unchanged.
+//!
+//! A shaped kernel builds each output amplitude from the same products
+//! as the dense kernel, in the same left-to-right order
+//! `((m0·o0 + m1·o1) + m2·o2) + m3·o3`. It leaves out only terms whose
+//! matrix entry is exactly zero, and multiplications by exactly one; a
+//! real entry's product `r·o` is the dense product without its `0·im`
+//! terms. For a finite amplitude every term left out is ±0, and adding
+//! ±0 never changes a nonzero value. So every shaped amplitude is `==` to
+//! the dense one and can differ only in the sign of a zero. `norm_sqr`
+//! squares that sign away, so every fidelity the verify oracles compute
+//! keeps its bits. The unit tests below check both claims shape by
+//! shape.
 //!
 //! Lane widths below the packing granularity (a 1Q target in the last two
 //! index bits of a < 8-amplitude register, or a 2Q pair whose lower bit
@@ -364,6 +396,204 @@ fn mix4(m: [C64x4; 4], o: [C64x4; 4]) -> C64x4 {
 }
 
 // ---------------------------------------------------------------------
+// Shaped kernels
+// ---------------------------------------------------------------------
+
+/// How a dispatcher applies an `N × N` matrix (see the module docs).
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Shape<const N: usize> {
+    /// Every row has exactly one nonzero entry.
+    Monomial(Monomial<N>),
+    /// Every imaginary part is exactly zero.
+    Real(Real<N>),
+    /// Anything else.
+    Dense,
+}
+
+/// A shaped matrix, applied one block of runs at a time.
+trait BlockOp<const N: usize> {
+    /// Overwrites one amplitude per slot, given in logical matrix order.
+    fn apply(&self, z: [&mut C64; N]);
+
+    /// Overwrites equal-length runs, given in logical matrix order,
+    /// amplitude by amplitude.
+    #[inline(always)]
+    fn apply_runs(&self, mut runs: [&mut [C64]; N]) {
+        for e in 0..runs[0].len() {
+            self.apply(runs.each_mut().map(|run| &mut run[e]));
+        }
+    }
+}
+
+/// A monomial matrix. Row `r` with `rows[r] = Some((c, entry))` becomes
+/// `entry · old[c]`, with `None` for an entry of exactly `1+0i` (a
+/// move); rows that keep their own amplitude are `None`. On whole runs
+/// the same matrix is `swaps` (run exchanges until run `r` holds slot
+/// `c`) followed by the entries' scalings.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Monomial<const N: usize> {
+    rows: [Option<(usize, Option<C64>)>; N],
+    swaps: [(usize, usize); N],
+    n_swaps: usize,
+}
+
+/// A real matrix: the real parts of a matrix whose imaginary parts are
+/// all exactly zero.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Real<const N: usize>([[f64; N]; N]);
+
+/// Sorts `m` into its [`Shape`] by exact comparison of its entries.
+fn classify<const N: usize>(m: &[[C64; N]; N]) -> Shape<N> {
+    let mut mono = Monomial {
+        rows: [None; N],
+        swaps: [(0, 0); N],
+        n_swaps: 0,
+    };
+    // `at[p]` is the slot whose run sits at position `p` after the swaps
+    // so far; a unitary's rows read distinct slots, so row `r` finds its
+    // slot at or after position `r`.
+    let mut at: [usize; N] = std::array::from_fn(|p| p);
+    for (r, row) in m.iter().enumerate() {
+        let mut nonzero = row.iter().enumerate().filter(|&(_, &z)| z != C64::ZERO);
+        let (Some((c, &z)), None) = (nonzero.next(), nonzero.next()) else {
+            return real_or_dense(m);
+        };
+        let Some(p) = (r..N).find(|&p| at[p] == c) else {
+            return real_or_dense(m);
+        };
+        if p != r {
+            at.swap(r, p);
+            mono.swaps[mono.n_swaps] = (r, p);
+            mono.n_swaps += 1;
+        }
+        let entry = (z != C64::ONE).then_some(z);
+        if c != r || entry.is_some() {
+            mono.rows[r] = Some((c, entry));
+        }
+    }
+    Shape::Monomial(mono)
+}
+
+/// [`Shape::Real`] when every imaginary part is exactly zero, else
+/// [`Shape::Dense`].
+fn real_or_dense<const N: usize>(m: &[[C64; N]; N]) -> Shape<N> {
+    if m.iter().flatten().all(|z| z.im == 0.0) {
+        Shape::Real(Real(m.map(|row| row.map(|z| z.re))))
+    } else {
+        Shape::Dense
+    }
+}
+
+impl<const N: usize> BlockOp<N> for Monomial<N> {
+    #[inline(always)]
+    fn apply(&self, z: [&mut C64; N]) {
+        let old: [C64; N] = std::array::from_fn(|c| *z[c]);
+        for (slot, row) in z.into_iter().zip(&self.rows) {
+            match *row {
+                Some((c, Some(e))) => *slot = e * old[c],
+                Some((c, None)) => *slot = old[c],
+                None => {}
+            }
+        }
+    }
+
+    /// Long runs move and scale as whole slices; short ones go amplitude
+    /// by amplitude.
+    #[inline(always)]
+    fn apply_runs(&self, mut runs: [&mut [C64]; N]) {
+        if runs[0].len() < 8 {
+            for e in 0..runs[0].len() {
+                self.apply(runs.each_mut().map(|run| &mut run[e]));
+            }
+            return;
+        }
+        for &(r, p) in &self.swaps[..self.n_swaps] {
+            let (lo, hi) = runs.split_at_mut(p);
+            lo[r].swap_with_slice(hi[0]);
+        }
+        for (run, row) in runs.iter_mut().zip(&self.rows) {
+            if let Some((_, Some(e))) = *row {
+                run.iter_mut().for_each(|z| *z = e * *z);
+            }
+        }
+    }
+}
+
+/// `r·z`: the complex product `(r + 0i)·z` without its zero terms.
+#[inline(always)]
+fn real_mul(r: f64, z: C64) -> C64 {
+    C64::new(r * z.re, r * z.im)
+}
+
+impl<const N: usize> BlockOp<N> for Real<N> {
+    /// Each row is summed left to right, like the dense kernels.
+    #[inline(always)]
+    fn apply(&self, z: [&mut C64; N]) {
+        let old: [C64; N] = std::array::from_fn(|c| *z[c]);
+        for (slot, row) in z.into_iter().zip(&self.0) {
+            let terms = row.iter().zip(&old).map(|(&r, &v)| real_mul(r, v));
+            *slot = terms.reduce(|acc, t| acc + t).expect("N ≥ 1");
+        }
+    }
+}
+
+/// Applies `op` to every pair of runs `bit` splits the register into, in
+/// logical order (`bit` clear, then set). Runs shorter than eight
+/// amplitudes get a compile-time length, so the walk unrolls.
+#[inline(always)]
+fn for_each_pair(amps: &mut [C64], bit: usize, op: &impl BlockOp<2>) {
+    #[inline(always)]
+    fn walk<const S: usize>(amps: &mut [C64], bit: usize, op: &impl BlockOp<2>) {
+        let run = if S == 0 { bit } else { S };
+        for block in amps.chunks_exact_mut(2 * run) {
+            let (r0, r1) = block.split_at_mut(run);
+            op.apply_runs([r0, r1]);
+        }
+    }
+    match bit {
+        1 => walk::<1>(amps, bit, op),
+        2 => walk::<2>(amps, bit, op),
+        4 => walk::<4>(amps, bit, op),
+        _ => walk::<0>(amps, bit, op),
+    }
+}
+
+/// Applies `op` to every quad of runs `bit_a`/`bit_b` split the register
+/// into, in logical matrix order: run `r` holds the amplitudes at
+/// `[i, i|bit_b, i|bit_a, i|bit_a|bit_b][r]`. Short runs unroll as in
+/// [`for_each_pair`].
+#[inline(always)]
+fn for_each_quad(amps: &mut [C64], bit_a: usize, bit_b: usize, op: &impl BlockOp<4>) {
+    #[inline(always)]
+    fn walk<const S: usize>(amps: &mut [C64], bit_a: usize, bit_b: usize, op: &impl BlockOp<4>) {
+        let big = bit_a.max(bit_b);
+        let run = if S == 0 { bit_a.min(bit_b) } else { S };
+        for outer in amps.chunks_exact_mut(2 * big) {
+            let (lo_half, hi_half) = outer.split_at_mut(big);
+            for (lo_pair, hi_pair) in lo_half
+                .chunks_exact_mut(2 * run)
+                .zip(hi_half.chunks_exact_mut(2 * run))
+            {
+                let (s0, s1) = lo_pair.split_at_mut(run);
+                let (s2, s3) = hi_pair.split_at_mut(run);
+                // Runs |small and |big swap places when `a` is low.
+                op.apply_runs(if bit_a > bit_b {
+                    [s0, s1, s2, s3]
+                } else {
+                    [s0, s2, s1, s3]
+                });
+            }
+        }
+    }
+    match bit_a.min(bit_b) {
+        1 => walk::<1>(amps, bit_a, bit_b, op),
+        2 => walk::<2>(amps, bit_a, bit_b, op),
+        4 => walk::<4>(amps, bit_a, bit_b, op),
+        _ => walk::<0>(amps, bit_a, bit_b, op),
+    }
+}
+
+// ---------------------------------------------------------------------
 // 1Q kernels
 // ---------------------------------------------------------------------
 
@@ -450,23 +680,28 @@ pub(crate) fn apply_1q_lanes(amps: &mut [C64], bit: usize, g: [C64; 4]) {
     }
 }
 
-/// Dispatches a 1Q application to the chosen engine.
+/// Dispatches a 1Q application: a shaped kernel when the matrix has a
+/// shape, else the chosen dense engine.
 #[inline]
 pub(crate) fn apply_1q(path: KernelPath, amps: &mut [C64], bit: usize, g: [C64; 4]) {
-    let counters = dispatch_counters();
-    match path {
-        KernelPath::Scalar => {
-            counters[0].incr(1);
-            apply_1q_scalar(amps, bit, g)
-        }
-        KernelPath::Lanes => {
-            counters[1].incr(1);
-            #[cfg(target_arch = "x86_64")]
-            if avx::apply_1q(amps, bit, g) {
-                return;
+    let counter = match path {
+        KernelPath::Scalar => 0,
+        KernelPath::Lanes => 1,
+    };
+    dispatch_counters()[counter].incr(1);
+    match classify(&[[g[0], g[1]], [g[2], g[3]]]) {
+        Shape::Monomial(op) => for_each_pair(amps, bit, &op),
+        Shape::Real(op) => for_each_pair(amps, bit, &op),
+        Shape::Dense => match path {
+            KernelPath::Scalar => apply_1q_scalar(amps, bit, g),
+            KernelPath::Lanes => {
+                #[cfg(target_arch = "x86_64")]
+                if avx::apply_1q(amps, bit, g) {
+                    return;
+                }
+                apply_1q_lanes(amps, bit, g)
             }
-            apply_1q_lanes(amps, bit, g)
-        }
+        },
     }
 }
 
@@ -656,7 +891,8 @@ fn mix_streams_2q(
     }
 }
 
-/// Dispatches a 2Q application to the chosen engine.
+/// Dispatches a 2Q application: a shaped kernel when the matrix has a
+/// shape, else the chosen dense engine.
 #[inline]
 pub(crate) fn apply_2q(
     path: KernelPath,
@@ -665,20 +901,24 @@ pub(crate) fn apply_2q(
     bit_b: usize,
     m: &[[C64; 4]; 4],
 ) {
-    let counters = dispatch_counters();
-    match path {
-        KernelPath::Scalar => {
-            counters[2].incr(1);
-            apply_2q_scalar(amps, bit_a, bit_b, m)
-        }
-        KernelPath::Lanes => {
-            counters[3].incr(1);
-            #[cfg(target_arch = "x86_64")]
-            if avx::apply_2q(amps, bit_a, bit_b, m) {
-                return;
+    let counter = match path {
+        KernelPath::Scalar => 2,
+        KernelPath::Lanes => 3,
+    };
+    dispatch_counters()[counter].incr(1);
+    match classify(m) {
+        Shape::Monomial(op) => for_each_quad(amps, bit_a, bit_b, &op),
+        Shape::Real(op) => for_each_quad(amps, bit_a, bit_b, &op),
+        Shape::Dense => match path {
+            KernelPath::Scalar => apply_2q_scalar(amps, bit_a, bit_b, m),
+            KernelPath::Lanes => {
+                #[cfg(target_arch = "x86_64")]
+                if avx::apply_2q(amps, bit_a, bit_b, m) {
+                    return;
+                }
+                apply_2q_lanes(amps, bit_a, bit_b, m)
             }
-            apply_2q_lanes(amps, bit_a, bit_b, m)
-        }
+        },
     }
 }
 
@@ -810,6 +1050,8 @@ pub(crate) fn mix_rows_2q(path: KernelPath, rows: [&mut [C64]; 4], m: &[[C64; 4]
 #[cfg(test)]
 mod tests {
     use super::*;
+    use paradrive_circuit::{OneQ, TwoQ};
+    use paradrive_linalg::CMat;
 
     fn ramp(n: usize) -> Vec<C64> {
         (0..n)
@@ -883,6 +1125,148 @@ mod tests {
             assert_eq!(a_s, a_l, "len={len}");
             assert_eq!(b_s, b_l, "len={len}");
         }
+    }
+
+    fn entries_1q(g: &CMat) -> [C64; 4] {
+        [g[(0, 0)], g[(0, 1)], g[(1, 0)], g[(1, 1)]]
+    }
+
+    fn entries_2q(g: &CMat) -> [[C64; 4]; 4] {
+        std::array::from_fn(|r| std::array::from_fn(|c| g[(r, c)]))
+    }
+
+    /// The shape contract: through either path, every amplitude `==` the
+    /// dense kernel's, with the same `norm_sqr` bits; and both paths,
+    /// running the same shaped code, agree bit for bit.
+    fn assert_matches_dense(paths: &[Vec<C64>; 2], dense: &[C64], context: &str) {
+        for (i, ((s, l), d)) in paths[0].iter().zip(&paths[1]).zip(dense).enumerate() {
+            assert!(s == d, "{context}: amplitude {i}: {s:?} vs dense {d:?}");
+            assert_eq!(
+                s.norm_sqr().to_bits(),
+                d.norm_sqr().to_bits(),
+                "{context}: amplitude {i}"
+            );
+            assert_eq!(
+                (s.re.to_bits(), s.im.to_bits()),
+                (l.re.to_bits(), l.im.to_bits()),
+                "{context}: amplitude {i} differs across paths"
+            );
+        }
+    }
+
+    /// Checks a 1Q matrix through both dispatcher paths against the dense
+    /// scalar kernel, on every qubit of every width 2–9.
+    fn check_1q(name: &str, g: [C64; 4]) {
+        for n in 2..10usize {
+            for q in 0..n {
+                let bit = 1usize << (n - 1 - q);
+                let mut dense = ramp(1 << n);
+                apply_1q_scalar(&mut dense, bit, g);
+                let paths = [KernelPath::Scalar, KernelPath::Lanes].map(|path| {
+                    let mut amps = ramp(1 << n);
+                    apply_1q(path, &mut amps, bit, g);
+                    amps
+                });
+                assert_matches_dense(&paths, &dense, &format!("{name} n={n} q={q}"));
+            }
+        }
+    }
+
+    /// Checks a 4×4 matrix like [`check_1q`], on every ordered pair.
+    fn check_2q(name: &str, m: &[[C64; 4]; 4]) {
+        for n in 2..10usize {
+            for a in 0..n {
+                for b in (0..n).filter(|&b| b != a) {
+                    let (bit_a, bit_b) = (1usize << (n - 1 - a), 1usize << (n - 1 - b));
+                    let mut dense = ramp(1 << n);
+                    apply_2q_scalar(&mut dense, bit_a, bit_b, m);
+                    let paths = [KernelPath::Scalar, KernelPath::Lanes].map(|path| {
+                        let mut amps = ramp(1 << n);
+                        apply_2q(path, &mut amps, bit_a, bit_b, m);
+                        amps
+                    });
+                    assert_matches_dense(&paths, &dense, &format!("{name} n={n} a={a} b={b}"));
+                }
+            }
+        }
+    }
+
+    /// `"monomial"` (`"permutation"` when every entry is a move), `"real"`
+    /// or `"dense"`.
+    fn shape_name<const N: usize>(m: &[[C64; N]; N]) -> &'static str {
+        match classify(m) {
+            Shape::Monomial(mono) if mono.rows.iter().flatten().all(|r| r.1.is_none()) => {
+                "permutation"
+            }
+            Shape::Monomial(_) => "monomial",
+            Shape::Real(_) => "real",
+            Shape::Dense => "dense",
+        }
+    }
+
+    #[test]
+    fn shaped_1q_kernels_match_the_dense_kernel() {
+        for (name, gate, shape) in [
+            ("X", OneQ::X, "permutation"),
+            ("Z", OneQ::Z, "monomial"),
+            ("S", OneQ::S, "monomial"),
+            ("T", OneQ::T, "monomial"),
+            ("Rz", OneQ::Rz(0.37), "monomial"),
+            ("H", OneQ::H, "real"),
+            ("Ry", OneQ::Ry(-1.1), "real"),
+            ("U3", OneQ::U3(0.3, 0.5, 0.7), "dense"),
+        ] {
+            let g = entries_1q(&gate.unitary());
+            assert_eq!(shape_name(&[[g[0], g[1]], [g[2], g[3]]]), shape, "{name}");
+            check_1q(name, g);
+        }
+    }
+
+    #[test]
+    fn shaped_2q_kernels_match_the_dense_kernel() {
+        let cx = TwoQ::Cx.unitary();
+        let ry_ry = OneQ::Ry(0.4).unitary().kron(&OneQ::Ry(-1.3).unitary());
+        for (name, g, shape) in [
+            ("CX", cx.clone(), "permutation"),
+            ("SWAP", TwoQ::Swap.unitary(), "permutation"),
+            ("CX·SWAP", cx.mul(&TwoQ::Swap.unitary()), "permutation"),
+            ("CZ", TwoQ::Cz.unitary(), "monomial"),
+            ("CPhase", TwoQ::CPhase(0.7).unitary(), "monomial"),
+            ("Rzz", TwoQ::Rzz(-0.45).unitary(), "monomial"),
+            ("iSWAP", TwoQ::ISwap.unitary(), "monomial"),
+            ("CX·(Ry⊗Ry)", cx.mul(&ry_ry), "real"),
+            ("√iSWAP", TwoQ::SqrtISwap.unitary(), "dense"),
+        ] {
+            let m = entries_2q(&g);
+            assert_eq!(shape_name(&m), shape, "{name}");
+            check_2q(name, &m);
+        }
+    }
+
+    #[test]
+    fn near_shapes_are_not_taken_for_their_shape() {
+        // A permutation with one zero entry 1e-300 away from zero: two
+        // nonzeros in a row, so no longer a rearrangement.
+        let mut near_cx = entries_2q(&TwoQ::Cx.unitary());
+        near_cx[0][1] = C64::real(1e-300);
+        assert_eq!(shape_name(&near_cx), "real");
+        check_2q("CX+1e-300", &near_cx);
+        let mut near_x = entries_1q(&OneQ::X.unitary());
+        near_x[0] = C64::new(0.0, 1e-300);
+        assert_eq!(
+            shape_name(&[[near_x[0], near_x[1]], [near_x[2], near_x[3]]]),
+            "dense"
+        );
+        check_1q("X+1e-300i", near_x);
+        // A CPhase whose unit entry is 1+ε: still monomial, but that entry
+        // is a product, not a move.
+        let mut near_cp = entries_2q(&TwoQ::CPhase(0.7).unitary());
+        near_cp[0][0] = C64::real(1.0 + f64::EPSILON);
+        let Shape::Monomial(mono) = classify(&near_cp) else {
+            panic!("a CPhase with a 1+ε entry is still monomial");
+        };
+        assert_eq!(mono.rows[0], Some((0, Some(C64::real(1.0 + f64::EPSILON)))));
+        check_2q("CPhase(1+ε)", &near_cp);
     }
 
     #[test]

@@ -309,6 +309,9 @@ impl State {
     /// The shuffle runs through the state-owned scratch buffer, so after
     /// the first call on a given register this allocates nothing — the
     /// verify oracles permute once per column/sample and rely on that.
+    /// Destination indices come from per-byte deposit tables on the stack
+    /// (one 256-word table per index byte), so each amplitude costs one
+    /// table lookup rather than a loop over the qubits.
     ///
     /// # Errors
     ///
@@ -327,18 +330,29 @@ impl State {
             }
             seen |= 1 << p;
         }
+        // Four index bytes cover every register that fits in memory
+        // (2^33 amplitudes would take 128 GiB).
+        assert!(self.n <= 32, "permute supports at most 32 qubits");
+        // Index bit `n-1-perm[l]` (physical position perm[l]) moves to
+        // bit `n-1-l`; `table[k][v]` deposits every set bit of byte k.
+        let mut dest = [0usize; 32];
+        for (l, &p) in perm.iter().enumerate() {
+            dest[self.n - 1 - p] = 1 << (self.n - 1 - l);
+        }
+        let mut table = [[0usize; 256]; 4];
+        for (k, t) in table.iter_mut().enumerate().take(self.n.div_ceil(8)) {
+            for v in 1..256usize {
+                t[v] = t[v & (v - 1)] | dest[8 * k + v.trailing_zeros() as usize];
+            }
+        }
         if self.scratch.len() != self.amps.len() {
             self.scratch.resize(self.amps.len(), C64::ZERO);
         }
-        for (i, &a) in self.amps.iter().enumerate() {
-            // Build the index where logical qubit l takes the bit that
-            // currently sits at physical position perm[l].
-            let mut j = 0usize;
-            for (l, &p) in perm.iter().enumerate() {
-                let bit = (i >> (self.n - 1 - p)) & 1;
-                j |= bit << (self.n - 1 - l);
+        for (c, chunk) in self.amps.chunks(256).enumerate() {
+            let high = table[1][c & 0xff] | table[2][c >> 8 & 0xff] | table[3][c >> 16 & 0xff];
+            for (&a, &low) in chunk.iter().zip(&table[0]) {
+                self.scratch[high | low] = a;
             }
-            self.scratch[j] = a;
         }
         std::mem::swap(&mut self.amps, &mut self.scratch);
         Ok(())
@@ -618,6 +632,35 @@ mod tests {
         let p = vec![2, 1, 0];
         let twice = s.permuted(&p).unwrap().permuted(&p).unwrap();
         assert!(twice.fidelity(&s) > 1.0 - 1e-12);
+    }
+
+    #[test]
+    fn permute_matches_the_per_bit_definition() {
+        // Widths across one, two and three table bytes, each under a
+        // reversal and a seeded shuffle.
+        let mut rng = StdRng::seed_from_u64(5);
+        for n in [1usize, 2, 5, 8, 9, 12, 16, 17] {
+            let amps: Vec<C64> = (0..1usize << n)
+                .map(|i| C64::new(i as f64, -(i as f64) * 0.5))
+                .collect();
+            let mut shuffled: Vec<usize> = (0..n).collect();
+            for i in (1..n).rev() {
+                shuffled.swap(i, rng.gen_range(0..=i));
+            }
+            for perm in [(0..n).rev().collect::<Vec<_>>(), shuffled] {
+                let mut want = vec![C64::ZERO; amps.len()];
+                for (i, &a) in amps.iter().enumerate() {
+                    let mut j = 0usize;
+                    for (l, &p) in perm.iter().enumerate() {
+                        j |= (i >> (n - 1 - p) & 1) << (n - 1 - l);
+                    }
+                    want[j] = a;
+                }
+                let mut st = State::from_amplitudes(amps.clone());
+                st.permute(&perm).unwrap();
+                assert_eq!(st.amplitudes(), &want[..], "n={n} perm={perm:?}");
+            }
+        }
     }
 
     #[test]

@@ -9,6 +9,7 @@
 //! no matter which engine a host selects.
 
 use paradrive_circuit::{Circuit, OneQ, TwoQ};
+use paradrive_linalg::qr::random_unitary;
 use paradrive_linalg::C64;
 use paradrive_sim::{Density, KernelPath, State};
 use proptest::prelude::*;
@@ -16,6 +17,9 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 /// A seeded random circuit drawing from the full 1Q/2Q gate alphabet.
+/// Most of it has a shape the dispatchers apply with shared code; Rx,
+/// U3, √iSWAP and the Haar-random 4×4s reach the dense Scalar/Lanes
+/// pair.
 fn random_circuit(n: usize, ops: usize, seed: u64) -> Circuit {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut c = Circuit::new(n);
@@ -28,26 +32,28 @@ fn random_circuit(n: usize, ops: usize, seed: u64) -> Circuit {
                 b += 1;
             }
             let theta = rng.gen_range(-3.0..3.0);
-            let gate = match rng.gen_range(0..6u32) {
+            let gate = match rng.gen_range(0..7u32) {
                 0 => TwoQ::Cx,
                 1 => TwoQ::Cz,
                 2 => TwoQ::CPhase(theta),
                 3 => TwoQ::Rzz(theta),
                 4 => TwoQ::ISwap,
-                _ => TwoQ::SqrtISwap,
+                5 => TwoQ::SqrtISwap,
+                _ => TwoQ::Unitary(Box::new(random_unitary(4, &mut rng))),
             };
             c.push_2q(gate, a, b);
         } else {
             let q = rng.gen_range(0..n);
             let theta = rng.gen_range(-3.0..3.0);
-            let gate = match rng.gen_range(0..7u32) {
+            let gate = match rng.gen_range(0..8u32) {
                 0 => OneQ::H,
                 1 => OneQ::X,
                 2 => OneQ::S,
                 3 => OneQ::T,
                 4 => OneQ::Rx(theta),
                 5 => OneQ::Ry(theta),
-                _ => OneQ::Rz(theta),
+                6 => OneQ::Rz(theta),
+                _ => OneQ::U3(theta, rng.gen_range(-3.0..3.0), rng.gen_range(-3.0..3.0)),
             };
             c.push_1q(gate, q);
         }
