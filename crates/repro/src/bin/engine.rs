@@ -120,6 +120,9 @@ fn parse_args() -> Result<Args, String> {
                 args.verify_samples = value("--verify-samples")?
                     .parse()
                     .map_err(|e| format!("--verify-samples: {e}"))?;
+                if args.verify_samples == 0 {
+                    return Err("--verify-samples must be at least 1".to_string());
+                }
             }
             "--verify-seed" => {
                 args.verify_seed = value("--verify-seed")?
@@ -130,11 +133,20 @@ fn parse_args() -> Result<Args, String> {
                 args.verify_max_bond = value("--verify-max-bond")?
                     .parse()
                     .map_err(|e| format!("--verify-max-bond: {e}"))?;
+                if args.verify_max_bond == 0 {
+                    return Err("--verify-max-bond must be at least 1".to_string());
+                }
             }
             "--verify-mps-tol" => {
                 args.verify_mps_tol = value("--verify-mps-tol")?
                     .parse()
                     .map_err(|e| format!("--verify-mps-tol: {e}"))?;
+                if !(args.verify_mps_tol.is_finite() && args.verify_mps_tol >= 0.0) {
+                    return Err(format!(
+                        "--verify-mps-tol must be a finite, non-negative number, not {}",
+                        args.verify_mps_tol
+                    ));
+                }
             }
             "--trace" => args.trace = Some(value("--trace")?),
             "--timings" => args.timings = true,
