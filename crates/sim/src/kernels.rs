@@ -400,7 +400,7 @@ fn mix4(m: [C64x4; 4], o: [C64x4; 4]) -> C64x4 {
 // ---------------------------------------------------------------------
 
 /// How a dispatcher applies an `N × N` matrix (see the module docs).
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy)]
 enum Shape<const N: usize> {
     /// Every row has exactly one nonzero entry.
     Monomial(Monomial<N>),
@@ -410,7 +410,9 @@ enum Shape<const N: usize> {
     Dense,
 }
 
-/// A shaped matrix, applied one block of runs at a time.
+/// A shaped matrix, applied one block of runs at a time. A trait rather
+/// than a closure so the per-amplitude body always inlines into the
+/// walkers; as a closure it did not, and paid a call per amplitude.
 trait BlockOp<const N: usize> {
     /// Overwrites one amplitude per slot, given in logical matrix order.
     fn apply(&self, z: [&mut C64; N]);
@@ -430,7 +432,7 @@ trait BlockOp<const N: usize> {
 /// move); rows that keep their own amplitude are `None`. On whole runs
 /// the same matrix is `swaps` (run exchanges until run `r` holds slot
 /// `c`) followed by the entries' scalings.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy)]
 struct Monomial<const N: usize> {
     rows: [Option<(usize, Option<C64>)>; N],
     swaps: [(usize, usize); N],
@@ -439,7 +441,7 @@ struct Monomial<const N: usize> {
 
 /// A real matrix: the real parts of a matrix whose imaginary parts are
 /// all exactly zero.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy)]
 struct Real<const N: usize>([[f64; N]; N]);
 
 /// Sorts `m` into its [`Shape`] by exact comparison of its entries.
