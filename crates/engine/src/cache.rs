@@ -1,31 +1,30 @@
-//! The sharded, read-mostly decomposition cost cache.
+//! The read-mostly decomposition cost cache.
 //!
 //! Thousands of consolidated blocks across a benchmark batch share a
 //! handful of Weyl-chamber classes (every routed SWAP is the same class,
 //! every `CX` the same class, …), yet the cost models re-derive the
 //! decomposition for each block. [`DecompositionCache`] memoizes any
-//! [`CostModel`] keyed by the block's [`WeylKey`].
+//! [`CostModel`] keyed by the block's canonical coordinates.
 //!
-//! **Exactness.** The quantized key only selects a hash bucket; within a
-//! bucket, entries are matched on the *exact bit pattern* of the query
-//! coordinates. A cached answer is therefore always the same `f64`s the
-//! wrapped model would have produced — the cached engine stays bit-for-bit
-//! identical to the uncached one, never "close enough".
+//! **Exactness.** The key is the *exact bit pattern* of the query
+//! coordinates, so a cached answer is always the same `f64`s the wrapped
+//! model would have produced — the cached engine stays bit-for-bit
+//! identical to the uncached one, never "close enough". (`-0.0` and `0.0`
+//! are distinct keys, which at worst duplicates an entry — never a wrong
+//! answer.)
 //!
-//! **Concurrency.** The table is split into shards, each behind its own
-//! `RwLock`; lookups take a read lock, and a miss takes a short write lock
-//! only to install an empty [`OnceLock`] cell. The cost itself is computed
-//! *outside* every shard lock via `OnceLock::get_or_init`, so threads
-//! racing on the same fresh target block on the one in-flight computation
-//! instead of repeating it — without a cell, N workers starting on a batch
-//! would each pay the full synthesis for the same first-seen classes (a
+//! **Concurrency.** One map behind one `RwLock`: a hit reads its cell
+//! under the read lock, and a miss takes a short write lock only to
+//! install an empty [`OnceLock`] cell. The cost itself is computed
+//! *outside* the lock via `OnceLock::get_or_init`, so threads racing on
+//! the same fresh target block on the one in-flight computation instead
+//! of repeating it — without a cell, N workers starting on a batch would
+//! each pay the full synthesis for the same first-seen classes (a
 //! cold-start thundering herd measured at N× the cached runtime).
 
 use paradrive_transpiler::{CostModel, GateCost};
-use paradrive_weyl::{WeylKey, WeylPoint};
-use std::collections::hash_map::RandomState;
+use paradrive_weyl::WeylPoint;
 use std::collections::HashMap;
-use std::hash::BuildHasher;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, RwLock};
 use std::time::Instant;
@@ -58,136 +57,66 @@ impl CacheStats {
     }
 }
 
-/// Counters for one lock domain of a [`DecompositionCache`] (see
-/// [`DecompositionCache::shard_stats`]).
-///
-/// Shard assignment comes from a per-cache `RandomState` hasher, so the
-/// *distribution* across shards varies run to run even though the summed
-/// totals are deterministic. Per-shard numbers therefore belong in traces
-/// (wall-clock-bearing diagnostics), never in deterministic reports.
+/// The one entry [`DecompositionCache::shard_stats`] returns: the
+/// [`CacheStats`] totals plus the time spent waiting on in-flight cells.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ShardStats {
-    /// Lookups this shard answered from its table.
+    /// Lookups answered from the table.
     pub hits: u64,
     /// Lookups that ran the wrapped cost model.
     pub misses: u64,
-    /// Fresh cells installed (one per distinct coordinate seen).
-    pub inserts: u64,
     /// Nanoseconds threads spent blocked on another thread's in-flight
-    /// `OnceLock` computation (the cold-start thundering-herd cost the
-    /// cell design amortizes).
+    /// `OnceLock` computation (wall clock, so trace-side only).
     pub wait_ns: u64,
     /// Distinct entries currently stored.
     pub entries: usize,
 }
 
-/// One shard entry: the exact query coordinates and a write-once cell the
-/// first owner fills (waiters block on it instead of recomputing).
-/// Near-identical points that share a [`WeylKey`] bucket but differ in
-/// their bits coexist in the bucket's vector (it stays length 1 in
-/// practice — the quantum is below extraction noise).
-type Bucket = Vec<(WeylPoint, Arc<OnceLock<GateCost>>)>;
-
-/// One lock domain: its table plus its own counters, so the hot path
-/// never touches cache-global atomics shared across every worker.
-#[derive(Default)]
-struct Shard {
-    table: RwLock<HashMap<WeylKey, Bucket>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    inserts: AtomicU64,
-    wait_ns: AtomicU64,
-}
-
-/// A sharded memoization table for [`CostModel::cost`].
+/// A memoization table for [`CostModel::cost`].
 ///
 /// One cache serves one model — costs are a property of the (model,
 /// target) pair, so wrap each model in its own cache (or its own
 /// [`CachedCostModel`]).
+#[derive(Default)]
 pub struct DecompositionCache {
-    shards: Vec<Shard>,
-    hasher: RandomState,
-}
-
-impl Default for DecompositionCache {
-    fn default() -> Self {
-        Self::new()
-    }
+    /// Exact coordinate bits → a write-once cell the first owner fills
+    /// (waiters block on it instead of recomputing).
+    table: RwLock<HashMap<[u64; 3], Arc<OnceLock<GateCost>>>>,
+    hits: AtomicU64,
+    misses: AtomicU64,
+    wait_ns: AtomicU64,
 }
 
 impl DecompositionCache {
-    /// Default shard count: enough to keep write contention negligible at
-    /// any realistic worker count without bloating the structure.
-    const DEFAULT_SHARDS: usize = 16;
-
-    /// Creates an empty cache with the default shard count.
+    /// Creates an empty cache.
     pub fn new() -> Self {
-        Self::with_shards(Self::DEFAULT_SHARDS)
-    }
-
-    /// Creates an empty cache with `shards` independent lock domains.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `shards` is zero.
-    pub fn with_shards(shards: usize) -> Self {
-        assert!(shards > 0, "cache needs at least one shard");
-        DecompositionCache {
-            shards: (0..shards).map(|_| Shard::default()).collect(),
-            hasher: RandomState::new(),
-        }
-    }
-
-    fn shard_of(&self, key: WeylKey) -> &Shard {
-        let h = self.hasher.hash_one(key);
-        &self.shards[(h % self.shards.len() as u64) as usize]
-    }
-
-    /// Exact bit-pattern equality (`-0.0` and `0.0` are distinct, which at
-    /// worst duplicates a bucket entry — never a wrong answer).
-    fn same_bits(a: WeylPoint, b: WeylPoint) -> bool {
-        a.c1.to_bits() == b.c1.to_bits()
-            && a.c2.to_bits() == b.c2.to_bits()
-            && a.c3.to_bits() == b.c3.to_bits()
+        Self::default()
     }
 
     /// Returns `model.cost(target)`, memoized.
     pub fn cost_through(&self, model: &dyn CostModel, target: WeylPoint) -> GateCost {
-        let key = WeylKey::new(target);
-        let shard = self.shard_of(key);
-        let find = |bucket: &Bucket| {
-            bucket
-                .iter()
-                .find(|(p, _)| Self::same_bits(*p, target))
-                .map(|(_, cell)| Arc::clone(cell))
-        };
-        let cell = {
-            let table = shard.table.read().expect("cache shard poisoned");
-            table.get(&key).and_then(find)
-        };
-        let cell = cell.unwrap_or_else(|| {
-            // Install (or adopt a racer's) empty cell under a short write
-            // lock; the model itself never runs while a shard is locked.
-            let mut table = shard.table.write().expect("cache shard poisoned");
-            let bucket = table.entry(key).or_default();
-            find(bucket).unwrap_or_else(|| {
-                let fresh = Arc::new(OnceLock::new());
-                bucket.push((target, Arc::clone(&fresh)));
-                shard.inserts.fetch_add(1, Ordering::Relaxed);
-                fresh
-            })
-        });
+        let key = [target.c1, target.c2, target.c3].map(f64::to_bits);
         // The warm path: the cell is already filled — count the hit and
-        // skip the clock entirely.
-        if let Some(cost) = cell.get() {
-            shard.hits.fetch_add(1, Ordering::Relaxed);
-            return *cost;
-        }
+        // return without touching the clock or the cell's refcount.
+        let pending = {
+            let table = self.table.read().expect("decomposition cache poisoned");
+            let cell = table.get(&key);
+            if let Some(cost) = cell.and_then(|c| c.get()) {
+                self.hits.fetch_add(1, Ordering::Relaxed);
+                return *cost;
+            }
+            cell.cloned()
+        };
+        let cell = pending.unwrap_or_else(|| {
+            // Install (or adopt a racer's) empty cell under a short write
+            // lock; the model itself never runs while the table is locked.
+            let mut table = self.table.write().expect("decomposition cache poisoned");
+            Arc::clone(table.entry(key).or_default())
+        });
         // First owner computes (possibly milliseconds of synthesis); every
         // concurrent waiter blocks here instead of duplicating the work.
-        // Waiters still count as hits (the totals stay identical to the
-        // pre-instrumented cache), but their blocked time is attributed to
-        // the shard's `wait_ns` so traces can show the cold-start herd.
+        // Waiters count as hits, and their blocked time goes to `wait_ns`
+        // so traces can show the cold-start herd.
         let blocked = Instant::now();
         let mut computed = false;
         let cost = *cell.get_or_init(|| {
@@ -195,59 +124,47 @@ impl DecompositionCache {
             model.cost(target)
         });
         if computed {
-            shard.misses.fetch_add(1, Ordering::Relaxed);
+            self.misses.fetch_add(1, Ordering::Relaxed);
         } else {
-            shard.hits.fetch_add(1, Ordering::Relaxed);
-            shard
-                .wait_ns
+            self.hits.fetch_add(1, Ordering::Relaxed);
+            self.wait_ns
                 .fetch_add(blocked.elapsed().as_nanos() as u64, Ordering::Relaxed);
         }
         cost
     }
 
-    /// Snapshot of the hit/miss counters and entry count, summed over
-    /// every shard. The totals are deterministic (a pure function of the
-    /// lookups made), unlike the per-shard split.
+    /// Snapshot of the hit/miss counters and entry count. They are
+    /// deterministic: a pure function of the lookups made.
     pub fn stats(&self) -> CacheStats {
-        let mut stats = CacheStats::default();
-        for s in self.shard_stats() {
-            stats.hits += s.hits;
-            stats.misses += s.misses;
-            stats.entries += s.entries;
+        CacheStats {
+            hits: self.hits.load(Ordering::Relaxed),
+            misses: self.misses.load(Ordering::Relaxed),
+            entries: self
+                .table
+                .read()
+                .expect("decomposition cache poisoned")
+                .len(),
         }
-        stats
     }
 
-    /// Per-shard counter snapshot, in shard-index order — trace/diagnostic
-    /// data (see [`ShardStats`] on why it must stay out of reports).
+    /// Nanoseconds lookups spent blocked on in-flight cells.
+    pub(crate) fn wait_ns(&self) -> u64 {
+        self.wait_ns.load(Ordering::Relaxed)
+    }
+
+    /// [`DecompositionCache::stats`] and the blocked-wait time as a
+    /// one-entry list, for perfbench (`perfbench/src/workload.rs`), which
+    /// sums `wait_ns` over it. The engine's own trace carries the same
+    /// numbers as `cache.{baseline,optimized}.{hits,misses,wait_ns}`;
+    /// this goes once perfbench reads them there.
     pub fn shard_stats(&self) -> Vec<ShardStats> {
-        self.shards
-            .iter()
-            .map(|s| ShardStats {
-                hits: s.hits.load(Ordering::Relaxed),
-                misses: s.misses.load(Ordering::Relaxed),
-                inserts: s.inserts.load(Ordering::Relaxed),
-                wait_ns: s.wait_ns.load(Ordering::Relaxed),
-                entries: s
-                    .table
-                    .read()
-                    .expect("cache shard poisoned")
-                    .values()
-                    .map(Vec::len)
-                    .sum(),
-            })
-            .collect()
-    }
-
-    /// Drops every entry and resets the counters.
-    pub fn clear(&self) {
-        for shard in &self.shards {
-            shard.table.write().expect("cache shard poisoned").clear();
-            shard.hits.store(0, Ordering::Relaxed);
-            shard.misses.store(0, Ordering::Relaxed);
-            shard.inserts.store(0, Ordering::Relaxed);
-            shard.wait_ns.store(0, Ordering::Relaxed);
-        }
+        let stats = self.stats();
+        vec![ShardStats {
+            hits: stats.hits,
+            misses: stats.misses,
+            wait_ns: self.wait_ns(),
+            entries: stats.entries,
+        }]
     }
 }
 
@@ -285,6 +202,7 @@ impl CostModel for CachedCostModel<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use paradrive_weyl::WeylKey;
     use std::sync::atomic::AtomicUsize;
 
     /// A model that counts how often it is actually consulted.
@@ -356,8 +274,9 @@ mod tests {
 
     #[test]
     fn sub_quantum_twins_share_a_bucket_but_not_an_entry() {
-        // Two points inside the same lattice cell but with different bits:
-        // both get exact answers, and the bucket holds both.
+        // Two points inside the same `WeylKey` lattice cell but with
+        // different bits: the cache keys on the bits, so both get exact
+        // answers and entries of their own.
         let cache = DecompositionCache::new();
         let model = Counting::new();
         let p = WeylPoint::new(0.5, 0.1, 0.05);
@@ -371,19 +290,8 @@ mod tests {
     }
 
     #[test]
-    fn clear_resets_everything() {
-        let cache = DecompositionCache::new();
-        let model = Counting::new();
-        cache.cost_through(&model, WeylPoint::CNOT);
-        cache.clear();
-        assert_eq!(cache.stats(), CacheStats::default());
-        cache.cost_through(&model, WeylPoint::CNOT);
-        assert_eq!(model.calls.load(Ordering::Relaxed), 2);
-    }
-
-    #[test]
     fn concurrent_lookups_agree() {
-        let cache = DecompositionCache::with_shards(4);
+        let cache = DecompositionCache::new();
         let model = Counting::new();
         let points: Vec<WeylPoint> = (0..64)
             .map(|i| WeylPoint::new(0.01 + i as f64 * 0.02, 0.005, 0.0))
@@ -405,30 +313,24 @@ mod tests {
 
     #[test]
     fn shard_stats_sum_to_totals() {
-        let cache = DecompositionCache::with_shards(4);
+        let cache = DecompositionCache::new();
         let model = Counting::new();
         for p in [WeylPoint::CNOT, WeylPoint::SWAP, WeylPoint::ISWAP] {
             cache.cost_through(&model, p);
             cache.cost_through(&model, p);
         }
-        let shards = cache.shard_stats();
-        assert_eq!(shards.len(), 4);
-        let (hits, misses, inserts, entries) = shards
-            .iter()
-            .fold((0u64, 0u64, 0u64, 0usize), |(h, m, i, e), s| {
-                (h + s.hits, m + s.misses, i + s.inserts, e + s.entries)
-            });
         let totals = cache.stats();
+        assert_eq!((totals.hits, totals.misses, totals.entries), (3, 3, 3));
+        // One thread filled every cell itself, so nothing waited.
         assert_eq!(
-            (hits, misses, entries),
-            (totals.hits, totals.misses, totals.entries)
+            cache.shard_stats(),
+            vec![ShardStats {
+                hits: 3,
+                misses: 3,
+                wait_ns: 0,
+                entries: 3,
+            }]
         );
-        assert_eq!((hits, misses, inserts, entries), (3, 3, 3, 3));
-        cache.clear();
-        assert!(cache
-            .shard_stats()
-            .iter()
-            .all(|s| *s == ShardStats::default()));
     }
 
     #[test]

@@ -232,8 +232,8 @@ pub(crate) fn run_pool(
 
     let mut trace = shared.rec.take();
     if let Some((bcache, ocache)) = caches {
-        fold_shard_counters(&mut trace, "cache.baseline", bcache);
-        fold_shard_counters(&mut trace, "cache.optimized", ocache);
+        fold_cache_counters(&mut trace, "cache.baseline", bcache);
+        fold_cache_counters(&mut trace, "cache.optimized", ocache);
     }
 
     Ok(BatchSummary {
@@ -245,17 +245,15 @@ pub(crate) fn run_pool(
     })
 }
 
-/// Copies a cache's per-shard counters into the trace under
-/// `<prefix>.shardNN.*` names. Shard attribution is hash-seeded (see
-/// [`DecompositionCache::shard_stats`]), so these live only in the trace
-/// channel.
-fn fold_shard_counters(trace: &mut Trace, prefix: &str, cache: &DecompositionCache) {
-    for (i, s) in cache.shard_stats().into_iter().enumerate() {
-        trace.set_counter(format!("{prefix}.shard{i:02}.hits"), s.hits);
-        trace.set_counter(format!("{prefix}.shard{i:02}.misses"), s.misses);
-        trace.set_counter(format!("{prefix}.shard{i:02}.inserts"), s.inserts);
-        trace.set_counter(format!("{prefix}.shard{i:02}.wait_ns"), s.wait_ns);
-    }
+/// Copies a cache's counters into the trace as `<prefix>.hits`,
+/// `<prefix>.misses` and `<prefix>.wait_ns`. The first two are the
+/// deterministic [`CacheStats`](crate::CacheStats) totals; `wait_ns` is
+/// wall clock.
+fn fold_cache_counters(trace: &mut Trace, prefix: &str, cache: &DecompositionCache) {
+    let stats = cache.stats();
+    trace.set_counter(format!("{prefix}.hits"), stats.hits);
+    trace.set_counter(format!("{prefix}.misses"), stats.misses);
+    trace.set_counter(format!("{prefix}.wait_ns"), cache.wait_ns());
 }
 
 /// FNV-1a over bytes — a stable, dependency-free hash for deriving each

@@ -23,9 +23,8 @@
 //!   through;
 //! - [`DecompositionCache`] memoizes any
 //!   [`CostModel`](paradrive_transpiler::CostModel) across the whole
-//!   batch, keyed by the quantized
-//!   [`WeylKey`](paradrive_weyl::WeylKey) with exact-bit verification,
-//!   and reports hit/miss counters;
+//!   batch, keyed by the exact bits of the target's canonical
+//!   coordinates, and reports hit/miss counters;
 //! - [`EngineReport`] aggregates per-circuit results, timings, cache
 //!   statistics and the batch wall clock (per-topology and
 //!   per-calibration rollups over many batches are the sweep's

@@ -1,27 +1,31 @@
 //! Shape checks for the execution trace every [`run_batch`] carries: one
-//! span per pipeline stage per job, per-shard cache counters, and a
-//! Chrome trace-event export that parses back as balanced B/E pairs.
+//! span per pipeline stage per job, cache and pipeline counters that are
+//! the same on every run, and a Chrome trace-event export that parses
+//! back as balanced B/E pairs.
 
 use paradrive_circuit::benchmarks;
-use paradrive_engine::{run_batch, Batch, EngineConfig, VerifyLevel};
+use paradrive_engine::{run_batch, Batch, EngineConfig, EngineReport, VerifyLevel};
 use paradrive_obs::json::{self, Value};
 use paradrive_transpiler::topology::CouplingMap;
 
 const SEEDS: u64 = 3;
 
-fn smoke_report() -> &'static paradrive_engine::EngineReport {
-    static REPORT: std::sync::OnceLock<paradrive_engine::EngineReport> = std::sync::OnceLock::new();
-    REPORT.get_or_init(|| {
-        let mut batch = Batch::new(CouplingMap::grid(3, 3));
-        batch.push("GHZ", benchmarks::ghz(6));
-        batch.push("QFT", benchmarks::qft(5));
-        let config = EngineConfig::default()
-            .threads(2)
-            .routing_seeds(SEEDS)
-            .verify(VerifyLevel::Sampled)
-            .verify_samples(2);
-        run_batch(&batch, &config).expect("smoke batch")
-    })
+/// The cached smoke batch at `threads` workers.
+fn run_smoke(threads: usize) -> EngineReport {
+    let mut batch = Batch::new(CouplingMap::grid(3, 3));
+    batch.push("GHZ", benchmarks::ghz(6));
+    batch.push("QFT", benchmarks::qft(5));
+    let config = EngineConfig::default()
+        .threads(threads)
+        .routing_seeds(SEEDS)
+        .verify(VerifyLevel::Sampled)
+        .verify_samples(2);
+    run_batch(&batch, &config).expect("smoke batch")
+}
+
+fn smoke_report() -> &'static EngineReport {
+    static REPORT: std::sync::OnceLock<EngineReport> = std::sync::OnceLock::new();
+    REPORT.get_or_init(|| run_smoke(2))
 }
 
 #[test]
@@ -58,28 +62,6 @@ fn every_job_gets_every_pipeline_stage_span() {
         .iter()
         .any(|s| s.name == "schedule" && s.label == "GHZ"));
 
-    // Per-shard cache counters are present for both passes, and the
-    // sharded split sums back to the deterministic totals.
-    let stats = report.cache_stats().expect("cache on");
-    for prefix in ["cache.baseline", "cache.optimized"] {
-        for kind in ["hits", "misses", "inserts", "wait_ns"] {
-            assert!(
-                trace
-                    .counters
-                    .iter()
-                    .any(|(name, _)| name.starts_with(prefix) && name.ends_with(kind)),
-                "missing {prefix}.*.{kind} counters"
-            );
-        }
-    }
-    let shard_hits: u64 = trace
-        .counters
-        .iter()
-        .filter(|(name, _)| name.starts_with("cache.") && name.ends_with(".hits"))
-        .map(|(_, v)| v)
-        .sum();
-    assert_eq!(shard_hits, stats.hits, "sharded hits disagree with totals");
-
     // Pipeline counters made it out of the workers.
     assert_eq!(
         trace.counter("route.seed_attempts"),
@@ -87,6 +69,45 @@ fn every_job_gets_every_pipeline_stage_span() {
         "one seed attempt per (job, seed)"
     );
     assert!(trace.counter("verify.samples").unwrap_or(0) > 0);
+}
+
+#[test]
+fn counters_are_deterministic_and_sum_to_the_cache_totals() {
+    // Everything but the wall-clock waits is a pure function of the batch:
+    // the same on a second run and at any thread count.
+    let counts = |report: &EngineReport| -> Vec<(String, u64)> {
+        report
+            .trace
+            .counters
+            .iter()
+            .filter(|(name, _)| !name.ends_with(".wait_ns"))
+            .cloned()
+            .collect()
+    };
+    let first = smoke_report();
+    let want = counts(first);
+    for threads in [2, 1, 4] {
+        assert_eq!(counts(&run_smoke(threads)), want, "{threads} thread(s)");
+    }
+
+    // Each cache reports its hits, misses and wait, and the two caches'
+    // hits and misses add up to the report's deterministic totals.
+    let stats = first.cache_stats().expect("cache on");
+    let both = |kind: &str| -> u64 {
+        ["cache.baseline", "cache.optimized"]
+            .map(|prefix| {
+                let name = format!("{prefix}.{kind}");
+                first
+                    .trace
+                    .counter(&name)
+                    .unwrap_or_else(|| panic!("missing counter {name}"))
+            })
+            .iter()
+            .sum()
+    };
+    both("wait_ns");
+    assert_eq!(both("hits"), stats.hits);
+    assert_eq!(both("misses"), stats.misses);
 }
 
 #[test]

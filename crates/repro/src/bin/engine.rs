@@ -31,7 +31,7 @@
 //! Table VII suite runs. `--threads 0` (the default) uses every core.
 //!
 //! `--trace FILE` exports the batch's execution trace (per-stage spans,
-//! per-shard cache counters, kernel-dispatch counts) as Chrome
+//! cache counters, kernel-dispatch counts) as Chrome
 //! trace-event JSON for Perfetto / `chrome://tracing`; `--timings` prints
 //! the stage-time rollup (p50/p95 per stage, thread utilization) on
 //! stderr. Both are wall-clock diagnostics, kept strictly out of the

@@ -211,8 +211,8 @@ mod tests {
             .spans
             .iter()
             .any(|s| s.name == "route" && s.label.ends_with("#1")));
-        // Per-shard cache counters and pipeline counters rode along.
-        assert!(trace.counter("cache.baseline.shard00.hits").is_some());
+        // Cache counters and pipeline counters rode along.
+        assert!(trace.counter("cache.baseline.hits").is_some());
         assert_eq!(trace.counter("route.seed_attempts"), Some(4));
         assert!(trace.counter("verify.samples").unwrap_or(0) > 0);
         // The merged export namespaces counters per run and stays valid.
