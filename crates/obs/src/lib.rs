@@ -18,10 +18,10 @@
 //!   trace is scoped to that run; free-floating hot paths (the simulator
 //!   kernels) count into the process-global [`global()`] recorder, which
 //!   starts *disabled* and is switched on by `--trace`-style flags.
-//! - **Span buffers.** Spans land in one of [`SHARDS`] buffers selected
-//!   by a per-thread ordinal, so concurrent workers almost never contend
-//!   on a lock; each push is a short uncontended mutex acquire plus a
-//!   `Vec` push.
+//! - **One span buffer.** Each finished span is one short mutex acquire
+//!   plus a `Vec` push. Spans are millisecond-scale pipeline stages, so
+//!   the lock is almost never contended; each span still records its
+//!   thread's ordinal as its `tid`.
 //! - **The disabled path is free.** [`Recorder::span`] on a disabled
 //!   recorder returns an inert guard: one relaxed atomic load, one
 //!   predictable branch, zero allocations — label closures are never
@@ -63,11 +63,6 @@ use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
-/// Number of independent span-buffer lock domains; threads map onto them
-/// by ordinal, so at realistic worker counts each thread effectively owns
-/// its buffer.
-pub const SHARDS: usize = 32;
-
 /// One recorded span: a named stage with an optional label, pinned to the
 /// thread that ran it.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -91,7 +86,7 @@ pub struct SpanEvent {
 struct Inner {
     enabled: AtomicBool,
     epoch: Instant,
-    buffers: Vec<Mutex<Vec<SpanEvent>>>,
+    spans: Mutex<Vec<SpanEvent>>,
     /// Pre-registered hot counters, deduplicated by name.
     hot: Mutex<Vec<(String, Arc<AtomicU64>)>>,
     /// Cold keyed counters.
@@ -116,7 +111,7 @@ impl Recorder {
             inner: Arc::new(Inner {
                 enabled: AtomicBool::new(enabled),
                 epoch: Instant::now(),
-                buffers: (0..SHARDS).map(|_| Mutex::new(Vec::new())).collect(),
+                spans: Mutex::new(Vec::new()),
                 hot: Mutex::new(Vec::new()),
                 keyed: Mutex::new(BTreeMap::new()),
             }),
@@ -194,8 +189,8 @@ impl Recorder {
     }
 
     fn push(&self, event: SpanEvent) {
-        let shard = thread_ordinal() as usize % self.inner.buffers.len();
-        self.inner.buffers[shard]
+        self.inner
+            .spans
             .lock()
             .expect("span buffer poisoned")
             .push(event);
@@ -241,10 +236,8 @@ impl Recorder {
     /// Spans are sorted by `(start_ns, dur_ns desc, tid, name)` so the
     /// export order is stable for a given set of events.
     pub fn take(&self) -> Trace {
-        let mut spans = Vec::new();
-        for buffer in &self.inner.buffers {
-            spans.append(&mut buffer.lock().expect("span buffer poisoned"));
-        }
+        let mut spans =
+            std::mem::take(&mut *self.inner.spans.lock().expect("span buffer poisoned"));
         spans.sort_by(|a, b| {
             (a.start_ns, std::cmp::Reverse(a.dur_ns), a.tid, a.name).cmp(&(
                 b.start_ns,
