@@ -6,14 +6,8 @@
 //! qubit; this module lets tests *derive* the model from channel-level
 //! simulation instead of assuming it.
 
-use crate::kernels::{self, KernelPath};
 use crate::{SimError, State};
-use paradrive_circuit::{Circuit, Op};
 use paradrive_linalg::{CMat, C64};
-
-/// Widest register [`Density::run`] will simulate (the matrix is dense:
-/// `4^n` entries).
-pub const MAX_DENSITY_QUBITS: usize = 10;
 
 /// An `n`-qubit density matrix (`2^n × 2^n`).
 #[derive(Debug, Clone)]
@@ -37,206 +31,9 @@ impl Density {
         Density { n, mat }
     }
 
-    /// Runs a circuit from `|0…0⟩⟨0…0|` at the channel level — the
-    /// density-matrix counterpart of [`State::run`], used to cross-check
-    /// the statevector simulator gate by gate.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::TooWide`] beyond [`MAX_DENSITY_QUBITS`] qubits
-    /// and propagates gate-application errors.
-    pub fn run(circuit: &Circuit) -> Result<Density, SimError> {
-        let n = circuit.n_qubits();
-        if n > MAX_DENSITY_QUBITS {
-            return Err(SimError::TooWide {
-                qubits: n,
-                max: MAX_DENSITY_QUBITS,
-            });
-        }
-        let mut rho = Density::from_state(&State::zero(n));
-        rho.apply_circuit(circuit)?;
-        Ok(rho)
-    }
-
-    /// Applies every operation of a circuit as a unitary conjugation.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::WidthMismatch`] when the circuit's width differs
-    /// from the register's, and propagates gate-application errors.
-    pub fn apply_circuit(&mut self, circuit: &Circuit) -> Result<(), SimError> {
-        self.apply_circuit_with(circuit, KernelPath::detected())
-    }
-
-    /// [`Density::apply_circuit`] on an explicit kernel path.
-    ///
-    /// # Errors
-    ///
-    /// As [`Density::apply_circuit`].
-    pub fn apply_circuit_with(
-        &mut self,
-        circuit: &Circuit,
-        path: KernelPath,
-    ) -> Result<(), SimError> {
-        if circuit.n_qubits() != self.n {
-            return Err(SimError::WidthMismatch {
-                circuit: circuit.n_qubits(),
-                state: self.n,
-            });
-        }
-        for op in circuit.ops() {
-            match op {
-                Op::OneQ { gate, q } => self.conjugate_1q_with(&gate.unitary(), *q, path)?,
-                Op::TwoQ { gate, a, b } => self.conjugate_2q_with(&gate.unitary(), *a, *b, path)?,
-            }
-        }
-        Ok(())
-    }
-
-    /// Conjugates by a 2×2 unitary on qubit `q`: `ρ → U_q ρ U_q†`, as
-    /// whole-row mixes (left factor) and per-row 1Q kernel applies (right
-    /// factor) — contiguous traffic instead of the `2^n`-strided
-    /// column-by-column walk, sharing the statevector kernels.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::QubitOutOfRange`] for a bad index.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `g` is not 2×2.
-    pub fn conjugate_1q(&mut self, g: &CMat, q: usize) -> Result<(), SimError> {
-        self.conjugate_1q_with(g, q, KernelPath::detected())
-    }
-
-    /// [`Density::conjugate_1q`] on an explicit kernel path.
-    ///
-    /// # Errors
-    ///
-    /// As [`Density::conjugate_1q`].
-    pub fn conjugate_1q_with(
-        &mut self,
-        g: &CMat,
-        q: usize,
-        path: KernelPath,
-    ) -> Result<(), SimError> {
-        if q >= self.n {
-            return Err(SimError::QubitOutOfRange {
-                qubit: q,
-                width: self.n,
-            });
-        }
-        assert_eq!((g.rows(), g.cols()), (2, 2));
-        let d = 1usize << self.n;
-        let bit = 1usize << (self.n - 1 - q);
-        let low = bit - 1;
-        let ga = [g[(0, 0)], g[(0, 1)], g[(1, 0)], g[(1, 1)]];
-        let data = self.mat.as_mut_slice();
-        // Left multiply by U: rows i and j mix elementwise.
-        for k in 0..d / 2 {
-            let i = ((k & !low) << 1) | (k & low);
-            let j = i | bit;
-            let (head, tail) = data.split_at_mut(j * d);
-            kernels::mix_rows_1q(path, &mut head[i * d..(i + 1) * d], &mut tail[..d], ga);
-        }
-        // Right multiply by U†: each row is a 1Q apply with Ū (the
-        // conjugate — adjoint of the adjoint's column action).
-        let gc = [ga[0].conj(), ga[1].conj(), ga[2].conj(), ga[3].conj()];
-        for row in data.chunks_exact_mut(d) {
-            kernels::apply_1q(path, row, bit, gc);
-        }
-        Ok(())
-    }
-
-    /// Conjugates by a 4×4 unitary on qubits `(a, b)` with `a` as the high
-    /// bit: `ρ → U_{ab} ρ U_{ab}†`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::QubitOutOfRange`] or [`SimError::DuplicateQubit`]
-    /// for bad indices.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `g` is not 4×4.
-    pub fn conjugate_2q(&mut self, g: &CMat, a: usize, b: usize) -> Result<(), SimError> {
-        self.conjugate_2q_with(g, a, b, KernelPath::detected())
-    }
-
-    /// [`Density::conjugate_2q`] on an explicit kernel path.
-    ///
-    /// # Errors
-    ///
-    /// As [`Density::conjugate_2q`].
-    pub fn conjugate_2q_with(
-        &mut self,
-        g: &CMat,
-        a: usize,
-        b: usize,
-        path: KernelPath,
-    ) -> Result<(), SimError> {
-        for q in [a, b] {
-            if q >= self.n {
-                return Err(SimError::QubitOutOfRange {
-                    qubit: q,
-                    width: self.n,
-                });
-            }
-        }
-        if a == b {
-            return Err(SimError::DuplicateQubit(a));
-        }
-        assert_eq!((g.rows(), g.cols()), (4, 4));
-        let d = 1usize << self.n;
-        let bit_a = 1usize << (self.n - 1 - a);
-        let bit_b = 1usize << (self.n - 1 - b);
-        let (small, big) = (bit_a.min(bit_b), bit_a.max(bit_b));
-        let (low_s, low_b) = (small - 1, big - 1);
-        let mut m = [[C64::ZERO; 4]; 4];
-        let mut mc = [[C64::ZERO; 4]; 4];
-        for r in 0..4 {
-            for c in 0..4 {
-                m[r][c] = g[(r, c)];
-                mc[r][c] = g[(r, c)].conj();
-            }
-        }
-        let data = self.mat.as_mut_slice();
-        // Left multiply by U: the four rows of each block mix elementwise.
-        // Blocks are carved out in ascending row order, then handed to the
-        // kernel in the logical (a-high) order the matrix uses.
-        for k in 0..d / 4 {
-            let t = ((k & !low_s) << 1) | (k & low_s);
-            let i = ((t & !low_b) << 1) | (t & low_b);
-            let asc = [i, i | small, i | big, i | small | big];
-            let (head, rest) = data[asc[0] * d..].split_at_mut((asc[1] - asc[0]) * d);
-            let (mid, rest) = rest.split_at_mut((asc[2] - asc[1]) * d);
-            let (mid2, rest) = rest.split_at_mut((asc[3] - asc[2]) * d);
-            let r0 = &mut head[..d];
-            let r1 = &mut mid[..d];
-            let r2 = &mut mid2[..d];
-            let r3 = &mut rest[..d];
-            let rows = if bit_a > bit_b {
-                [r0, r1, r2, r3]
-            } else {
-                [r0, r2, r1, r3]
-            };
-            kernels::mix_rows_2q(path, rows, &m);
-        }
-        // Right multiply by U†: each row is a 2Q apply with Ū.
-        for row in data.chunks_exact_mut(d) {
-            kernels::apply_2q(path, row, bit_a, bit_b, &mc);
-        }
-        Ok(())
-    }
-
     /// Number of qubits.
     pub fn n_qubits(&self) -> usize {
         self.n
-    }
-
-    /// The raw matrix.
-    pub fn matrix(&self) -> &CMat {
-        &self.mat
     }
 
     /// Trace (should stay 1 under physical channels).
@@ -247,16 +44,6 @@ impl Density {
     /// Purity `tr(ρ²)` — 1 for pure states, `1/2^n` for maximally mixed.
     pub fn purity(&self) -> f64 {
         self.mat.mul(&self.mat).trace().re
-    }
-
-    /// Conjugates by a full-system unitary: `ρ → U ρ U†`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on dimension mismatch.
-    pub fn apply_unitary(&mut self, u: &CMat) {
-        assert_eq!(u.rows(), self.mat.rows(), "dimension mismatch");
-        self.mat = u.mul(&self.mat).mul(&u.adjoint());
     }
 
     /// Applies the amplitude-damping channel with decay probability `p` to
@@ -346,46 +133,8 @@ mod tests {
     }
 
     #[test]
-    fn run_matches_statevector_on_entangling_circuit() {
-        use paradrive_circuit::TwoQ;
-        let mut c = Circuit::new(3);
-        c.push_1q(OneQ::H, 0);
-        c.push_2q(TwoQ::Cx, 0, 1);
-        c.push_2q(TwoQ::ISwap, 1, 2);
-        c.push_1q(OneQ::T, 2);
-        c.push_2q(TwoQ::Cx, 2, 0);
-        let rho = Density::run(&c).unwrap();
-        let psi = State::run(&c).unwrap();
-        assert!((rho.trace() - 1.0).abs() < 1e-12);
-        assert!((rho.purity() - 1.0).abs() < 1e-12);
-        assert!((rho.fidelity(&psi) - 1.0).abs() < 1e-10);
-        // Diagonal equals the statevector probabilities entry by entry.
-        for (i, p) in psi.probabilities().iter().enumerate() {
-            assert!((rho.matrix()[(i, i)].re - p).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn run_rejects_wide_and_bad_inputs_with_typed_errors() {
-        assert_eq!(
-            Density::run(&Circuit::new(MAX_DENSITY_QUBITS + 1)).unwrap_err(),
-            SimError::TooWide {
-                qubits: MAX_DENSITY_QUBITS + 1,
-                max: MAX_DENSITY_QUBITS
-            }
-        );
+    fn damping_rejects_bad_inputs_with_typed_errors() {
         let mut rho = Density::from_state(&State::zero(2));
-        assert_eq!(
-            rho.apply_circuit(&Circuit::new(3)).unwrap_err(),
-            SimError::WidthMismatch {
-                circuit: 3,
-                state: 2
-            }
-        );
-        assert_eq!(
-            rho.conjugate_1q(&OneQ::X.unitary(), 7).unwrap_err(),
-            SimError::QubitOutOfRange { qubit: 7, width: 2 }
-        );
         assert_eq!(
             rho.amplitude_damp(9, 0.5).unwrap_err(),
             SimError::QubitOutOfRange { qubit: 9, width: 2 }
@@ -533,14 +282,5 @@ mod tests {
             assert!(f < prev);
             prev = f;
         }
-    }
-
-    #[test]
-    fn unitary_conjugation_preserves_purity() {
-        let mut rho = Density::from_state(&excited(2));
-        let u = paradrive_weyl::gates::b_gate();
-        rho.apply_unitary(&u);
-        assert!((rho.trace() - 1.0).abs() < 1e-12);
-        assert!((rho.purity() - 1.0).abs() < 1e-12);
     }
 }

@@ -81,8 +81,7 @@ fn dispatch_counters() -> &'static [Counter; 4] {
     })
 }
 
-/// Which kernel engine applies gates to a statevector (or density
-/// matrix).
+/// Which kernel engine applies gates to a statevector.
 ///
 /// Both paths produce bit-identical amplitudes; they differ only in
 /// speed. [`KernelPath::detected`] picks the default for this process —
@@ -184,16 +183,6 @@ mod avx {
         apply_2q_lanes(amps, bit_a, bit_b, m);
     }
 
-    #[target_feature(enable = "avx2")]
-    fn mix_rows_1q_avx(a: &mut [C64], b: &mut [C64], g: [C64; 4]) {
-        mix_rows_1q_lanes(a, b, g);
-    }
-
-    #[target_feature(enable = "avx2")]
-    fn mix_rows_2q_avx(rows: [&mut [C64]; 4], m: &[[C64; 4]; 4]) {
-        mix_rows_2q_lanes(rows, m);
-    }
-
     /// Runs the 1Q kernel with AVX2 codegen when the host has it.
     pub(super) fn apply_1q(amps: &mut [C64], bit: usize, g: [C64; 4]) -> bool {
         if lanes_available() {
@@ -219,26 +208,6 @@ mod avx {
         } else {
             false
         }
-    }
-
-    /// Runs the 1Q row mix with AVX2 codegen when the host has it.
-    pub(super) fn mix_rows_1q(a: &mut [C64], b: &mut [C64], g: [C64; 4]) -> bool {
-        if lanes_available() {
-            // SAFETY: lanes_available() just confirmed avx2 on this host.
-            unsafe { mix_rows_1q_avx(a, b, g) };
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Runs the 2Q row mix with AVX2 codegen. Unlike the other
-    /// dispatchers this one cannot report "unavailable" after the fact —
-    /// the row array is moved in — so it asserts the feature itself.
-    pub(super) fn mix_rows_2q(rows: [&mut [C64]; 4], m: &[[C64; 4]; 4]) {
-        assert!(lanes_available());
-        // SAFETY: the assert above confirmed avx2 on this host.
-        unsafe { mix_rows_2q_avx(rows, m) };
     }
 }
 
@@ -924,131 +893,6 @@ pub(crate) fn apply_2q(
     }
 }
 
-// ---------------------------------------------------------------------
-// Row mixes (density-matrix conjugation)
-// ---------------------------------------------------------------------
-
-/// Mixes two equal-length rows elementwise: `a ← g00·a + g01·b`,
-/// `b ← g10·a + g11·b` — the scalar reference for the
-/// left-multiplication step of a density conjugation, with the same
-/// per-element expression as the 1Q kernels.
-pub(crate) fn mix_rows_1q_scalar(a: &mut [C64], b: &mut [C64], g: [C64; 4]) {
-    debug_assert_eq!(a.len(), b.len());
-    let [g00, g01, g10, g11] = g;
-    for (x_slot, y_slot) in a.iter_mut().zip(b.iter_mut()) {
-        let (x, y) = (*x_slot, *y_slot);
-        *x_slot = g00 * x + g01 * y;
-        *y_slot = g10 * x + g11 * y;
-    }
-}
-
-/// The lane-parallel 1Q row mix. Bit-identical to
-/// [`mix_rows_1q_scalar`].
-#[inline(always)]
-pub(crate) fn mix_rows_1q_lanes(a: &mut [C64], b: &mut [C64], g: [C64; 4]) {
-    debug_assert_eq!(a.len(), b.len());
-    let [g00, g01, g10, g11] = g;
-    let (s00, s01, s10, s11) = (
-        C64x4::splat(g00),
-        C64x4::splat(g01),
-        C64x4::splat(g10),
-        C64x4::splat(g11),
-    );
-    for (ca, cb) in a.chunks_exact_mut(4).zip(b.chunks_exact_mut(4)) {
-        let x = C64x4::load(ca);
-        let y = C64x4::load(cb);
-        mix2(s00, x, s01, y).store(ca);
-        mix2(s10, x, s11, y).store(cb);
-    }
-    let rem = a.len() - a.len() % 4;
-    for (x_slot, y_slot) in a[rem..].iter_mut().zip(b[rem..].iter_mut()) {
-        let (x, y) = (*x_slot, *y_slot);
-        *x_slot = g00 * x + g01 * y;
-        *y_slot = g10 * x + g11 * y;
-    }
-}
-
-/// Dispatches a 1Q row mix to the chosen engine.
-#[inline]
-pub(crate) fn mix_rows_1q(path: KernelPath, a: &mut [C64], b: &mut [C64], g: [C64; 4]) {
-    match path {
-        KernelPath::Scalar => mix_rows_1q_scalar(a, b, g),
-        KernelPath::Lanes => {
-            #[cfg(target_arch = "x86_64")]
-            if avx::mix_rows_1q(a, b, g) {
-                return;
-            }
-            mix_rows_1q_lanes(a, b, g)
-        }
-    }
-}
-
-/// Mixes four equal-length rows elementwise by a 4×4 `m` given in the
-/// rows' order — the scalar reference for the left-multiplication step
-/// of a 2Q density conjugation.
-pub(crate) fn mix_rows_2q_scalar(rows: [&mut [C64]; 4], m: &[[C64; 4]; 4]) {
-    let len = rows[0].len();
-    debug_assert!(rows.iter().all(|r| r.len() == len));
-    let [r0, r1, r2, r3] = rows;
-    for c in 0..len {
-        let old = [r0[c], r1[c], r2[c], r3[c]];
-        for (r, slot) in [&mut r0[c], &mut r1[c], &mut r2[c], &mut r3[c]]
-            .into_iter()
-            .enumerate()
-        {
-            *slot = m[r][0] * old[0] + m[r][1] * old[1] + m[r][2] * old[2] + m[r][3] * old[3];
-        }
-    }
-}
-
-/// The lane-parallel 2Q row mix. Bit-identical to
-/// [`mix_rows_2q_scalar`].
-#[inline(always)]
-pub(crate) fn mix_rows_2q_lanes(rows: [&mut [C64]; 4], m: &[[C64; 4]; 4]) {
-    let len = rows[0].len();
-    debug_assert!(rows.iter().all(|r| r.len() == len));
-    let lanes = len - len % 4;
-    let [r0, r1, r2, r3] = rows;
-    let ms: [[C64x4; 4]; 4] =
-        std::array::from_fn(|r| std::array::from_fn(|c| C64x4::splat(m[r][c])));
-    for off in (0..lanes).step_by(4) {
-        let o = [
-            C64x4::load(&r0[off..off + 4]),
-            C64x4::load(&r1[off..off + 4]),
-            C64x4::load(&r2[off..off + 4]),
-            C64x4::load(&r3[off..off + 4]),
-        ];
-        mix4(ms[0], o).store(&mut r0[off..off + 4]);
-        mix4(ms[1], o).store(&mut r1[off..off + 4]);
-        mix4(ms[2], o).store(&mut r2[off..off + 4]);
-        mix4(ms[3], o).store(&mut r3[off..off + 4]);
-    }
-    for c in lanes..len {
-        let old = [r0[c], r1[c], r2[c], r3[c]];
-        for (r, slot) in [&mut r0[c], &mut r1[c], &mut r2[c], &mut r3[c]]
-            .into_iter()
-            .enumerate()
-        {
-            *slot = m[r][0] * old[0] + m[r][1] * old[1] + m[r][2] * old[2] + m[r][3] * old[3];
-        }
-    }
-}
-
-/// Dispatches a 2Q row mix to the chosen engine.
-#[inline]
-pub(crate) fn mix_rows_2q(path: KernelPath, rows: [&mut [C64]; 4], m: &[[C64; 4]; 4]) {
-    match path {
-        KernelPath::Scalar => mix_rows_2q_scalar(rows, m),
-        KernelPath::Lanes => {
-            #[cfg(target_arch = "x86_64")]
-            if lanes_available() {
-                return avx::mix_rows_2q(rows, m);
-            }
-            mix_rows_2q_lanes(rows, m)
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1059,11 +903,6 @@ mod tests {
         (0..n)
             .map(|i| C64::new(0.1 + i as f64 * 0.3, -0.2 + i as f64 * 0.05))
             .collect()
-    }
-
-    fn hadamard() -> [C64; 4] {
-        let h = std::f64::consts::FRAC_1_SQRT_2;
-        [C64::real(h), C64::real(h), C64::real(h), C64::real(-h)]
     }
 
     #[test]
@@ -1111,21 +950,6 @@ mod tests {
                     assert_eq!(scalar, lanes, "n={n} a={a} b={b}");
                 }
             }
-        }
-    }
-
-    #[test]
-    fn row_mixes_agree_across_paths_and_lengths() {
-        let g = hadamard();
-        for len in [1usize, 3, 4, 7, 8, 19] {
-            let mut a_s = ramp(len);
-            let mut b_s: Vec<C64> = ramp(len).iter().map(|z| z.conj()).collect();
-            let mut a_l = a_s.clone();
-            let mut b_l = b_s.clone();
-            mix_rows_1q(KernelPath::Scalar, &mut a_s, &mut b_s, g);
-            mix_rows_1q(KernelPath::Lanes, &mut a_l, &mut b_l, g);
-            assert_eq!(a_s, a_l, "len={len}");
-            assert_eq!(b_s, b_l, "len={len}");
         }
     }
 

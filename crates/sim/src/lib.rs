@@ -36,7 +36,7 @@ pub mod kernels;
 pub mod mps;
 mod state;
 
-pub use density::{Density, MAX_DENSITY_QUBITS};
+pub use density::Density;
 pub use kernels::{lanes_available, KernelPath};
 pub use mps::{MpsOptions, MpsState};
 pub use state::{circuit_unitary, heavy_output_probability, State, MAX_STATE_QUBITS};
