@@ -5,11 +5,18 @@
 //! "does the Chrome export parse back?" — need a reader of their own.
 //! This is a small recursive-descent parser over the JSON grammar: enough
 //! to load a trace file, walk its events, and assert shape. It is used by
-//! the `trace_check` binary (CI's trace-well-formedness gate) and the
-//! exporter tests; it is not a general-purpose JSON library.
+//! the `trace_check` binary (CI's trace-well-formedness gate), the sweep's
+//! journal and shard-report reader, and the exporter tests; it is not a
+//! general-purpose JSON library. Arrays and objects nest at most 128
+//! deep, so hostile input fails with a [`ParseError`] instead of
+//! overflowing the stack.
 
 use std::fmt;
 use std::fmt::Write as _;
+
+/// The deepest nesting of arrays and objects [`parse`] accepts. Every
+/// file the workspace writes nests a few levels at most.
+const MAX_DEPTH: usize = 128;
 
 /// Escapes `s` as a JSON string literal, surrounding quotes included:
 /// quotes, backslashes and `\n`/`\r`/`\t` get their short escapes, other
@@ -109,11 +116,13 @@ impl std::error::Error for ParseError {}
 ///
 /// # Errors
 ///
-/// Returns a [`ParseError`] with a byte offset on any grammar violation.
+/// Returns a [`ParseError`] with a byte offset on any grammar violation,
+/// and on arrays or objects nested more than 128 deep.
 pub fn parse(input: &str) -> Result<Value, ParseError> {
     let mut p = Parser {
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let value = p.value()?;
@@ -127,6 +136,8 @@ pub fn parse(input: &str) -> Result<Value, ParseError> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -167,8 +178,19 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Value, ParseError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(open @ (b'{' | b'[')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")));
+                }
+                self.depth += 1;
+                let value = if open == b'{' {
+                    self.object()
+                } else {
+                    self.array()
+                };
+                self.depth -= 1;
+                value
+            }
             Some(b'"') => Ok(Value::Str(self.string()?)),
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
@@ -353,6 +375,22 @@ mod tests {
         }
         let err = parse("[1,]").unwrap_err();
         assert!(err.offset > 0 && err.to_string().contains("byte"));
+    }
+
+    #[test]
+    fn bounds_nesting_depth() {
+        // Deep enough to overflow a recursive descent's stack: rejected at
+        // the first level past the bound, where the offset points.
+        for (open, width) in [("[", 1), ("{\"a\":", 5)] {
+            let err = parse(&open.repeat(100_000)).unwrap_err();
+            assert!(err.message.contains("nesting"), "{err}");
+            assert_eq!(err.offset, MAX_DEPTH * width);
+        }
+        // The bound itself still parses.
+        let deepest = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse(&deepest).is_ok());
+        let too_deep = format!("[{deepest}]");
+        assert!(parse(&too_deep).is_err());
     }
 
     #[test]
