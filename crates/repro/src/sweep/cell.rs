@@ -109,6 +109,12 @@ pub struct SweepPlan {
     timelines: Vec<Vec<Arc<CalibrationTimeline>>>,
 }
 
+/// The longest drift timeline [`SweepPlan::new`] plans. Every epoch adds
+/// a calibration snapshot per (topology, calibration) pair and a cell
+/// per job, so the bound keeps a typo from growing memory until the
+/// process dies.
+const MAX_EPOCHS: usize = 1024;
+
 impl SweepPlan {
     /// Resolves `spec` into a plan: parses every axis entry, instantiates
     /// calibrations and workloads, and enumerates the grid.
@@ -179,6 +185,11 @@ impl SweepPlan {
         if spec.epochs == 0 {
             return Err(SweepError::InvalidDrift {
                 reason: "a sweep needs at least one epoch".to_string(),
+            });
+        }
+        if spec.epochs > MAX_EPOCHS {
+            return Err(SweepError::InvalidDrift {
+                reason: format!("{} epochs exceed the maximum of {MAX_EPOCHS}", spec.epochs),
             });
         }
         let drift = spec.drift.as_deref().map(parse_drift).transpose()?;
@@ -632,6 +643,27 @@ mod tests {
             }
             other => panic!("expected InvalidDrift, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn epoch_counts_past_the_bound_are_rejected_before_any_timeline() {
+        // Billions of epochs would grow timelines until the process dies;
+        // the bound answers at once, and the bound itself still plans.
+        let mut spec = SweepSpec::smoke();
+        spec.topologies = vec!["grid4x4".into()];
+        spec.benchmarks = vec!["GHZ".into()];
+        spec.drift = Some("walk0.1".into());
+        for epochs in [MAX_EPOCHS + 1, u32::MAX as usize, usize::MAX] {
+            spec.epochs = epochs;
+            match SweepPlan::new(&spec).unwrap_err() {
+                SweepError::InvalidDrift { reason } => {
+                    assert!(reason.contains("maximum of 1024"), "{reason}");
+                }
+                other => panic!("expected InvalidDrift, got {other:?}"),
+            }
+        }
+        spec.epochs = MAX_EPOCHS;
+        assert_eq!(SweepPlan::new(&spec).unwrap().cells().len(), MAX_EPOCHS);
     }
 
     #[test]

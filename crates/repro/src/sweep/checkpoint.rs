@@ -305,10 +305,14 @@ fn u64_str_field_num(v: &Value, key: &str) -> Result<u64, String> {
 }
 
 fn parse_meta(v: &Value) -> Result<Meta, String> {
+    let (shards, shard) = (usize_field(v, "shards")?, usize_field(v, "shard")?);
+    if shard >= shards {
+        return Err(SweepError::ShardOutOfRange { shard, shards }.to_string());
+    }
     Ok(Meta {
         fingerprint: u64_str_field(v, "fingerprint", 16)?,
-        shards: usize_field(v, "shards")?,
-        shard: usize_field(v, "shard")?,
+        shards,
+        shard,
     })
 }
 
@@ -662,5 +666,31 @@ mod tests {
             other => panic!("expected Corrupt, got {other:?}"),
         }
         fs::remove_file(&corrupt_path).unwrap();
+    }
+
+    #[test]
+    fn impossible_shard_headers_are_corrupt() {
+        for (shards, shard) in [(0, 0), (1, 5), (2, 2)] {
+            let meta = Meta {
+                fingerprint: 1,
+                shards,
+                shard,
+            };
+            let text = format!("{}\n{}\n", meta_line(&meta), done_line(0));
+            match parse_journal(&text, "report.jsonl").unwrap_err() {
+                SweepError::Corrupt { line, reason, .. } => {
+                    assert_eq!(line, 1);
+                    assert!(reason.contains("out of range"), "{reason}");
+                }
+                other => panic!("expected Corrupt, got {other:?}"),
+            }
+        }
+        let fine = Meta {
+            fingerprint: 1,
+            shards: 2,
+            shard: 1,
+        };
+        let text = format!("{}\n{}\n", meta_line(&fine), done_line(0));
+        assert_eq!(parse_journal(&text, "report.jsonl").unwrap().meta, fine);
     }
 }
