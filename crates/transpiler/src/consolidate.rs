@@ -7,12 +7,18 @@
 //! `CNOT` immediately followed by a `SWAP` on the same pair becomes a
 //! single iSWAP-class block (the paper's Fig. 3b footnote), and why QFT's
 //! small controlled phases appear as CNOT-family points near the identity.
+//!
+//! A block's Weyl point is a pure function of its unitary's bits, and
+//! routed circuits repeat blocks exactly (every bare SWAP, every CX on a
+//! fresh pair), so one [`consolidate`] call extracts each distinct block
+//! once and reuses the point for its bit-identical repeats.
 
 use crate::TranspileError;
 use paradrive_circuit::{Circuit, Op};
 use paradrive_linalg::{paulis, CMat};
 use paradrive_weyl::magic::coordinates;
 use paradrive_weyl::WeylPoint;
+use std::collections::hash_map::{Entry, HashMap};
 
 /// One element of a consolidated circuit.
 #[derive(Debug, Clone)]
@@ -72,13 +78,15 @@ pub fn consolidate(circuit: &Circuit) -> Result<Vec<Item>, TranspileError> {
     // Pending standalone 1Q runs.
     let mut pending_1q: Vec<Option<(CMat, bool)>> = vec![None; n];
     let mut out: Vec<Item> = Vec::new();
+    // Points extracted so far, keyed by the exact bits of the block.
+    let mut extracted: HashMap<[u64; 32], WeylPoint> = HashMap::new();
 
     // Emission preserves program order well enough for scheduling because
     // items are re-ordered per-qubit there anyway.
-    let close_block = |open: &mut Vec<Open>,
-                       qubit_block: &mut Vec<Option<usize>>,
-                       out: &mut Vec<Item>,
-                       idx: usize|
+    let mut close_block = |open: &mut Vec<Open>,
+                           qubit_block: &mut Vec<Option<usize>>,
+                           out: &mut Vec<Item>,
+                           idx: usize|
      -> Result<(), TranspileError> {
         let blk = open.swap_remove(idx);
         // Fix up the index of the block that swapped into `idx`.
@@ -89,7 +97,14 @@ pub fn consolidate(circuit: &Circuit) -> Result<Vec<Item>, TranspileError> {
         }
         qubit_block[blk.a] = None;
         qubit_block[blk.b] = None;
-        let point = coordinates(&blk.u).map_err(|e| TranspileError::Weyl(e.to_string()))?;
+        let extract = || coordinates(&blk.u).map_err(|e| TranspileError::Weyl(e.to_string()));
+        let point = match bits(&blk.u) {
+            Some(key) => match extracted.entry(key) {
+                Entry::Occupied(hit) => *hit.get(),
+                Entry::Vacant(miss) => *miss.insert(extract()?),
+            },
+            None => extract()?,
+        };
         out.push(Item::Block {
             a: blk.a,
             b: blk.b,
@@ -188,6 +203,22 @@ pub fn consolidate(circuit: &Circuit) -> Result<Vec<Item>, TranspileError> {
         }
     }
     Ok(out)
+}
+
+/// The bit patterns of a 4×4 block's entries, real and imaginary part
+/// of each in row-major order (`None` for any other shape, which
+/// `coordinates` rejects). Blocks that differ only in the sign of a zero
+/// get different keys.
+fn bits(u: &CMat) -> Option<[u64; 32]> {
+    if (u.rows(), u.cols()) != (4, 4) {
+        return None;
+    }
+    let mut key = [0; 32];
+    for (words, z) in key.chunks_exact_mut(2).zip(u.as_slice()) {
+        words[0] = z.re.to_bits();
+        words[1] = z.im.to_bits();
+    }
+    Some(key)
 }
 
 /// Counts consolidated blocks by named Weyl class — the data behind the
@@ -348,6 +379,45 @@ mod tests {
         expect_item!(&items[0], Item::Block { point, .. } => {
             assert!(point.chamber_dist(WeylPoint::CNOT) < 1e-7);
         });
+    }
+
+    /// Repeated blocks reuse an earlier block's point, and only a block
+    /// with exactly the same bits does: `CZ` (last entry `-1 - 0i`) and a
+    /// twin whose last entry is `-1 + 0i` compare `==` but extract
+    /// different points.
+    #[test]
+    fn repeated_blocks_keep_their_own_points() {
+        let cz = TwoQ::Cz.unitary();
+        let mut signed = cz.clone();
+        signed[(3, 3)].im = -signed[(3, 3)].im;
+        assert_eq!(cz, signed);
+        assert_ne!(cz[(3, 3)].im.to_bits(), signed[(3, 3)].im.to_bits());
+        let mut c = Circuit::new(3);
+        for _ in 0..3 {
+            c.push_2q(TwoQ::Cx, 0, 1);
+            c.push_2q(TwoQ::Cx, 1, 2);
+        }
+        for u in [&cz, &signed, &cz, &signed] {
+            c.push_2q(TwoQ::Unitary(Box::new(u.clone())), 0, 1);
+            c.push_2q(TwoQ::Cx, 1, 2);
+        }
+        let items = consolidate(&c).unwrap();
+        let point_bits = |p: WeylPoint| [p.c1.to_bits(), p.c2.to_bits(), p.c3.to_bits()];
+        let mut points = Vec::new();
+        for item in &items {
+            expect_item!(item, Item::Block { unitary, point, .. } => {
+                assert_eq!(point_bits(*point), point_bits(coordinates(unitary).unwrap()));
+                points.push(point_bits(*point));
+            });
+        }
+        assert_eq!(points.len(), 14);
+        let (plain, signed) = (points[6], points[8]);
+        assert_ne!(
+            plain, signed,
+            "the signed-zero twin must extract its own point"
+        );
+        assert_eq!(points[10], plain);
+        assert_eq!(points[12], signed);
     }
 
     #[test]

@@ -59,8 +59,11 @@ impl Default for RouterOptions {
 /// ([`route_with_oracle`]) instead of paying the solve per seed.
 #[derive(Debug, Clone)]
 pub struct NoiseOracle {
-    usable: Vec<Vec<bool>>,
-    dist: Vec<Vec<f64>>,
+    n: usize,
+    /// Healthy-edge flags, one flat row-major `n × n` table.
+    usable: Vec<bool>,
+    /// Effective distances, one flat row-major `n × n` table.
+    dist: Vec<f64>,
 }
 
 impl NoiseOracle {
@@ -68,23 +71,22 @@ impl NoiseOracle {
     /// calibrated device.
     pub fn new(map: &CouplingMap, cal: &Calibration, options: RouterOptions) -> Self {
         let n = map.n_qubits();
-        let mut usable = vec![vec![false; n]; n];
-        let mut weight = vec![vec![f64::INFINITY; n]; n];
-        for (a, row) in usable.iter_mut().enumerate() {
-            for (b, slot) in row.iter_mut().enumerate() {
+        let mut usable = vec![false; n * n];
+        let mut weight = vec![f64::INFINITY; n * n];
+        for a in 0..n {
+            for b in 0..n {
                 if map.are_adjacent(a, b) && cal.edge(a, b).error_rate < options.dead_edge_threshold
                 {
-                    *slot = true;
-                    weight[a][b] = 1.0 + options.noise_weight * cal.edge_noise_cost(a, b);
+                    usable[a * n + b] = true;
+                    weight[a * n + b] = 1.0 + options.noise_weight * cal.edge_noise_cost(a, b);
                 }
             }
         }
         // All-pairs Dijkstra over the healthy weighted graph (devices are
         // tens of qubits, so the O(n³) dense form is plenty). Unreachable
         // pairs stay at infinity and surface as `RoutingStuck`.
-        let mut dist = vec![vec![f64::INFINITY; n]; n];
-        for s in 0..n {
-            let d = &mut dist[s];
+        let mut dist = vec![f64::INFINITY; n * n];
+        for (s, d) in dist.chunks_exact_mut(n.max(1)).enumerate() {
             d[s] = 0.0;
             let mut done = vec![false; n];
             for _ in 0..n {
@@ -96,13 +98,21 @@ impl NoiseOracle {
                 };
                 done[u] = true;
                 for &v in map.neighbors(u) {
-                    if usable[u][v] && d[u] + weight[u][v] < d[v] {
-                        d[v] = d[u] + weight[u][v];
+                    if usable[u * n + v] && d[u] + weight[u * n + v] < d[v] {
+                        d[v] = d[u] + weight[u * n + v];
                     }
                 }
             }
         }
-        NoiseOracle { usable, dist }
+        NoiseOracle { n, usable, dist }
+    }
+
+    fn distance(&self, a: usize, b: usize) -> f64 {
+        self.dist[a * self.n..][..self.n][b]
+    }
+
+    fn usable(&self, a: usize, b: usize) -> bool {
+        self.usable[a * self.n..][..self.n][b]
     }
 }
 
@@ -119,7 +129,7 @@ impl View<'_> {
         match &self.noise {
             // Uniform calibrations yield unit weights, so these are the
             // same integer-valued floats BFS would produce.
-            Some(v) => v.dist[a][b],
+            Some(v) => v.distance(a, b),
             None => self.map.distance(a, b) as f64,
         }
     }
@@ -127,7 +137,7 @@ impl View<'_> {
     /// True when a gate (or SWAP) may execute on the physical pair.
     fn usable(&self, a: usize, b: usize) -> bool {
         match &self.noise {
-            Some(v) => v.usable[a][b],
+            Some(v) => v.usable(a, b),
             None => self.map.are_adjacent(a, b),
         }
     }
@@ -185,25 +195,27 @@ pub fn route_with_oracle(
     let view = View { map, noise: oracle };
     let mut rng = StdRng::seed_from_u64(seed);
     let n_phys = map.n_qubits();
-    // logical -> physical (trivial initial layout).
+    // logical -> physical (trivial initial layout) and its inverse.
     let mut layout: Vec<usize> = (0..n_phys).collect();
+    let mut inverse = layout.clone();
 
-    // Upcoming 2Q gates per op index, for the lookahead score.
-    let two_q_indices: Vec<usize> = circuit
+    // The logical operands of every 2Q gate in program order, for the
+    // lookahead score; `next_2q` is the current gate's position in it.
+    let two_q: Vec<(usize, usize)> = circuit
         .ops()
         .iter()
-        .enumerate()
-        .filter_map(|(i, op)| matches!(op, Op::TwoQ { .. }).then_some(i))
+        .filter_map(|op| match op {
+            Op::TwoQ { a, b, .. } => Some((*a, *b)),
+            Op::OneQ { .. } => None,
+        })
         .collect();
+    let mut next_2q = 0usize;
+    let mut scratch = SwapScratch::default();
 
     let mut out = Circuit::new(n_phys);
     let mut swaps_inserted = 0usize;
-    let mut next_2q_cursor = 0usize; // index into two_q_indices
 
     for (op_idx, op) in circuit.ops().iter().enumerate() {
-        while next_2q_cursor < two_q_indices.len() && two_q_indices[next_2q_cursor] < op_idx {
-            next_2q_cursor += 1;
-        }
         match op {
             Op::OneQ { gate, q } => {
                 out.push_1q(*gate, layout[*q]);
@@ -216,29 +228,26 @@ pub fn route_with_oracle(
                     if guard > 4 * n_phys {
                         return Err(TranspileError::RoutingStuck { gate_index: op_idx });
                     }
-                    let Some(swap) = best_swap(
-                        circuit,
+                    let Some((x, y)) = best_swap(
                         &view,
                         &layout,
-                        &two_q_indices[next_2q_cursor..],
+                        &two_q[next_2q..],
                         (*a, *b),
                         options,
+                        &mut scratch,
                         &mut rng,
                     ) else {
                         // Every candidate edge is dead: the healthy graph
                         // cannot move the operands together.
                         return Err(TranspileError::RoutingStuck { gate_index: op_idx });
                     };
-                    out.push_2q(TwoQ::Swap, swap.0, swap.1);
+                    out.push_2q(TwoQ::Swap, x, y);
                     swaps_inserted += 1;
-                    // Update layout: find logicals at those physicals.
-                    let la = layout.iter().position(|&p| p == swap.0);
-                    let lb = layout.iter().position(|&p| p == swap.1);
-                    if let (Some(la), Some(lb)) = (la, lb) {
-                        layout.swap(la, lb);
-                    }
+                    layout.swap(inverse[x], inverse[y]);
+                    inverse.swap(x, y);
                 }
                 out.push_2q(gate.clone(), layout[*a], layout[*b]);
+                next_2q += 1;
             }
         }
     }
@@ -249,22 +258,32 @@ pub fn route_with_oracle(
     })
 }
 
+/// The candidate and tied-best SWAP lists [`best_swap`] fills, kept for
+/// the whole route so no SWAP decision allocates.
+#[derive(Default)]
+struct SwapScratch {
+    candidates: Vec<(usize, usize)>,
+    best: Vec<(usize, usize)>,
+}
+
 /// Scores candidate SWAPs on usable edges adjacent to the two operands of
 /// the blocked gate and returns the best `(physical, physical)` pair, or
-/// `None` when every adjacent edge is dead.
+/// `None` when every adjacent edge is dead. `upcoming` holds the logical
+/// operands of the 2Q gates from the blocked one on.
 fn best_swap(
-    circuit: &Circuit,
     view: &View<'_>,
     layout: &[usize],
-    upcoming: &[usize],
+    upcoming: &[(usize, usize)],
     blocked: (usize, usize),
     options: RouterOptions,
+    scratch: &mut SwapScratch,
     rng: &mut StdRng,
 ) -> Option<(usize, usize)> {
     let (la, lb) = blocked;
     let pa = layout[la];
     let pb = layout[lb];
-    let mut candidates: Vec<(usize, usize)> = Vec::new();
+    let SwapScratch { candidates, best } = scratch;
+    candidates.clear();
     for &p in [pa, pb].iter() {
         for &nb in view.map.neighbors(p) {
             let c = (p.min(nb), p.max(nb));
@@ -274,29 +293,27 @@ fn best_swap(
         }
     }
 
-    let mut best: Vec<(usize, usize)> = Vec::new();
+    best.clear();
     let mut best_score = f64::INFINITY;
-    for &(x, y) in &candidates {
-        // Apply the candidate swap to a scratch layout.
-        let mut scratch = layout.to_vec();
-        let lx = scratch.iter().position(|&p| p == x);
-        let ly = scratch.iter().position(|&p| p == y);
-        if let (Some(lx), Some(ly)) = (lx, ly) {
-            scratch.swap(lx, ly);
-        }
+    for &(x, y) in candidates.iter() {
+        // Where a logical qubit sits once the candidate SWAP is applied.
+        let at = |q: usize| match layout[q] {
+            p if p == x => y,
+            p if p == y => x,
+            p => p,
+        };
         // Primary term: the blocked gate's distance; lookahead term: the
         // decayed distances of upcoming 2Q gates.
-        let mut score = view.distance(scratch[la], scratch[lb]) * 2.0;
+        let mut score = view.distance(at(la), at(lb)) * 2.0;
         let mut weight = 1.0;
-        for &gi in upcoming.iter().take(options.lookahead) {
-            if let Op::TwoQ { a, b, .. } = &circuit.ops()[gi] {
-                score += weight * view.distance(scratch[*a], scratch[*b]);
-                weight *= options.decay;
-            }
+        for &(a, b) in upcoming.iter().take(options.lookahead) {
+            score += weight * view.distance(at(a), at(b));
+            weight *= options.decay;
         }
         if score < best_score - 1e-12 {
             best_score = score;
-            best = vec![(x, y)];
+            best.clear();
+            best.push((x, y));
         } else if (score - best_score).abs() <= 1e-12 {
             best.push((x, y));
         }

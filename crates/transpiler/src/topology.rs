@@ -26,7 +26,9 @@ pub struct CouplingMap {
     n: usize,
     label: String,
     adjacency: Vec<Vec<usize>>,
-    dist: Vec<Vec<usize>>,
+    /// All-pairs BFS distances, one flat row-major `n × n` table (the
+    /// router reads it once per scored gate).
+    dist: Vec<usize>,
 }
 
 impl CouplingMap {
@@ -51,22 +53,21 @@ impl CouplingMap {
                 adjacency[b].push(a);
             }
         }
-        // BFS all-pairs distances.
-        let mut dist = vec![vec![usize::MAX; n]; n];
-        #[allow(clippy::needless_range_loop)] // `s` is both index and BFS source
-        for s in 0..n {
-            let mut queue = std::collections::VecDeque::new();
-            dist[s][s] = 0;
+        // BFS all-pairs distances, one row per source.
+        let mut dist = vec![usize::MAX; n * n];
+        let mut queue = std::collections::VecDeque::new();
+        for (s, row) in dist.chunks_exact_mut(n.max(1)).enumerate() {
+            row[s] = 0;
             queue.push_back(s);
             while let Some(u) = queue.pop_front() {
                 for &v in &adjacency[u] {
-                    if dist[s][v] == usize::MAX {
-                        dist[s][v] = dist[s][u] + 1;
+                    if row[v] == usize::MAX {
+                        row[v] = row[u] + 1;
                         queue.push_back(v);
                     }
                 }
             }
-            if dist[s].contains(&usize::MAX) {
+            if row.contains(&usize::MAX) {
                 return Err(TranspileError::DisconnectedTopology);
             }
         }
@@ -277,21 +278,17 @@ impl CouplingMap {
 
     /// Longest shortest-path distance between any two qubits.
     pub fn diameter(&self) -> usize {
-        self.dist
-            .iter()
-            .flat_map(|row| row.iter().copied())
-            .max()
-            .unwrap_or(0)
+        self.dist.iter().copied().max().unwrap_or(0)
     }
 
     /// Shortest-path distance between two physical qubits.
     pub fn distance(&self, a: usize, b: usize) -> usize {
-        self.dist[a][b]
+        self.dist[a * self.n..][..self.n][b]
     }
 
     /// True when two physical qubits are directly coupled.
     pub fn are_adjacent(&self, a: usize, b: usize) -> bool {
-        self.dist[a][b] == 1
+        self.distance(a, b) == 1
     }
 
     /// Neighbors of a physical qubit.
