@@ -125,6 +125,56 @@ fn cell_of(
     }
 }
 
+/// Names the first axis label of a restored or merged `cell` that
+/// disagrees with `planned`, the plan's cell at the same ordinal. The
+/// ordinal and digest agree already, so a disagreeing label means the
+/// file was edited and none of its fields can be trusted.
+fn label_mismatch(plan: &SweepPlan, planned: &PlannedCell, cell: &SweepCell) -> Option<String> {
+    let (costing, verify) = plan.runs()[planned.run];
+    let labels: [(&str, String, String); 7] = [
+        (
+            "topology",
+            cell.topology.clone(),
+            plan.map(planned).label().to_string(),
+        ),
+        (
+            "calibration",
+            cell.calibration.clone(),
+            plan.calibration(planned).label().to_string(),
+        ),
+        (
+            "benchmark",
+            cell.benchmark.clone(),
+            plan.benchmark(planned).0.clone(),
+        ),
+        (
+            "costing",
+            cell.costing.to_string(),
+            costing_label(costing).to_string(),
+        ),
+        (
+            "verify",
+            cell.verify.to_string(),
+            verify.label().to_string(),
+        ),
+        (
+            "suite seed",
+            cell.suite_seed.to_string(),
+            plan.suite_seed(planned).to_string(),
+        ),
+        ("epoch", cell.epoch.to_string(), planned.epoch.to_string()),
+    ];
+    labels
+        .into_iter()
+        .find(|(_, got, want)| got != want)
+        .map(|(field, got, want)| {
+            format!(
+                "cell {} has {field} `{got}`, plan expects `{want}`",
+                cell.ordinal
+            )
+        })
+}
+
 /// A run's aggregate: its cells folded through [`RunRollup`] once, plus
 /// the engine's diagnostics when the run executed. Fully restored runs
 /// and merges pass `None` and report no threads, wall clock, cache or
@@ -220,6 +270,12 @@ pub fn run_sweep_shard(
                     "journal cell {} has digest {:016x}, plan expects {:016x}",
                     cell.ordinal, cell.digest, planned.id.digest
                 ),
+            });
+        }
+        if let Some(reason) = label_mismatch(&plan, planned, &cell) {
+            return Err(SweepError::SpecMismatch {
+                path: journal_path(),
+                reason: format!("journal {reason}"),
             });
         }
         if planned.id.shard(shards) != opts.shard {
@@ -521,7 +577,14 @@ pub fn merge_reports(
                     ),
                 });
             }
-            Some(_) => {}
+            Some(cell) => {
+                if let Some(reason) = label_mismatch(&plan, planned, cell) {
+                    return Err(SweepError::SpecMismatch {
+                        path: "merged inputs".to_string(),
+                        reason,
+                    });
+                }
+            }
         }
     }
     if !missing.is_empty() {

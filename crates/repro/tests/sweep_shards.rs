@@ -201,3 +201,68 @@ fn sharding_misuse_is_rejected_with_typed_errors() {
     }
     let _ = fs::remove_dir_all(&dir);
 }
+
+/// A cell whose ordinal and digest still match the plan but whose axis
+/// labels were edited fails both `--resume` and `merge` with a
+/// `SpecMismatch` naming the field, instead of rendering under a label
+/// the plan never ran.
+#[test]
+fn relabeled_cells_are_rejected_on_resume_and_merge() {
+    let dir = temp_dir("relabel");
+    let spec = spec();
+    let journal_path = dir.join("journal.jsonl");
+    let reference = at_threads(
+        &spec,
+        2,
+        &ShardOptions {
+            journal: Some(&journal_path),
+            ..ShardOptions::default()
+        },
+    );
+    let journal = fs::read_to_string(&journal_path).unwrap();
+    let report = reference.to_jsonl();
+    let report_path = dir.join("report.jsonl");
+    let mismatch = |err: SweepError| match err {
+        SweepError::SpecMismatch { reason, .. } => reason,
+        other => panic!("expected SpecMismatch, got {other:?}"),
+    };
+    for (field, from, to) in [
+        (
+            "topology",
+            r#""topology":"grid4x4""#,
+            r#""topology":"ring16""#,
+        ),
+        (
+            "calibration",
+            r#""calibration":"uniform""#,
+            r#""calibration":"spread0.3""#,
+        ),
+        ("benchmark", r#""benchmark":"GHZ""#, r#""benchmark":"QFT""#),
+        ("costing", r#""costing":"hull""#, r#""costing":"synth""#),
+        ("verify", r#""verify":"off""#, r#""verify":"sampled""#),
+        ("suite seed", r#""suite_seed":"7""#, r#""suite_seed":"11""#),
+        ("epoch", r#""epoch":0"#, r#""epoch":2"#),
+    ] {
+        assert!(journal.contains(from) && report.contains(from), "{from}");
+        fs::write(&journal_path, journal.replacen(from, to, 1)).unwrap();
+        let err = run_sweep_shard(
+            &spec,
+            &ShardOptions {
+                journal: Some(&journal_path),
+                resume: true,
+                ..ShardOptions::default()
+            },
+        )
+        .unwrap_err();
+        let reason = mismatch(err);
+        assert!(reason.contains(field), "resume, {field}: {reason}");
+
+        fs::write(&report_path, report.replacen(from, to, 1)).unwrap();
+        let contents = read_journal(&report_path).unwrap();
+        let err =
+            merge_reports(&spec, vec![(report_path.display().to_string(), contents)]).unwrap_err();
+        let reason = mismatch(err);
+        assert!(reason.contains(field), "merge, {field}: {reason}");
+    }
+    let _ = fs::remove_dir_all(&dir);
+}
