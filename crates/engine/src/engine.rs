@@ -299,6 +299,12 @@ impl<'a> Scorer<'a> {
 
     /// Eq. 8 durations and Eq. 10–11 fidelities of one consolidated
     /// route on a `device_qubits`-wide map, under `cal` when given.
+    ///
+    /// # Errors
+    ///
+    /// [`TranspileError::InvalidCalibration`] when a duration or total
+    /// fidelity comes out non-finite (a calibration whose generated
+    /// values overflowed), so no report ever carries `inf` or `NaN`.
     pub(crate) fn score(
         &self,
         name: &str,
@@ -307,7 +313,7 @@ impl<'a> Scorer<'a> {
         device_qubits: usize,
         logical_qubits: usize,
         cal: Option<&Calibration>,
-    ) -> BenchmarkResult {
+    ) -> Result<BenchmarkResult, TranspileError> {
         let cached;
         let (baseline, optimized): (&dyn CostModel, &dyn CostModel) = match self.caches {
             Some((bcache, ocache)) => {
@@ -319,7 +325,7 @@ impl<'a> Scorer<'a> {
             }
             None => (&self.baseline, self.optimized.as_ref()),
         };
-        evaluate_with_calibration(
+        let result = evaluate_with_calibration(
             name,
             items,
             swaps,
@@ -329,7 +335,21 @@ impl<'a> Scorer<'a> {
             logical_qubits,
             self.fidelity,
             cal,
-        )
+        );
+        for (what, value) in [
+            ("baseline duration", result.baseline_duration),
+            ("optimized duration", result.optimized_duration),
+            ("baseline total fidelity", result.baseline_total_fidelity),
+            ("optimized total fidelity", result.optimized_total_fidelity),
+        ] {
+            if !value.is_finite() {
+                return Err(TranspileError::InvalidCalibration(format!(
+                    "calibration {} gives a non-finite {what} ({value})",
+                    cal.map_or("uniform", Calibration::label)
+                )));
+            }
+        }
+        Ok(result)
     }
 }
 
@@ -488,7 +508,7 @@ impl Shared<'_, '_> {
                 map.n_qubits(),
                 spec.circuit.n_qubits(),
                 cal,
-            )
+            )?
         };
 
         let report = CircuitReport {

@@ -331,26 +331,35 @@ pub fn run_fleet(
         // included), with their adoption verification verdict carried
         // forward.
         for (j, job) in jobs.iter().enumerate() {
-            let mut report = fresh[j].take().unwrap_or_else(|| {
-                let cached = adopted[j].as_ref().expect("adopted at epoch 0");
-                let cal = job.timeline.snapshot(epoch);
-                CircuitReport {
-                    result: scorer.score(
-                        &job.name,
-                        &cached.items,
-                        cached.swaps,
-                        job.map.n_qubits(),
-                        job.circuit.n_qubits(),
-                        Some(cal),
-                    ),
-                    topology: job.map.label().to_string(),
-                    calibration: cal.label().to_string(),
-                    routed: Some(cached.routed.clone()),
-                    verification: cached.verification.clone(),
-                    route_time: Duration::ZERO,
-                    pipeline_time: Duration::ZERO,
+            let mut report = match fresh[j].take() {
+                Some(report) => report,
+                None => {
+                    let cached = adopted[j].as_ref().expect("adopted at epoch 0");
+                    let cal = job.timeline.snapshot(epoch);
+                    let result = scorer
+                        .score(
+                            &job.name,
+                            &cached.items,
+                            cached.swaps,
+                            job.map.n_qubits(),
+                            job.circuit.n_qubits(),
+                            Some(cal),
+                        )
+                        .map_err(|source| EngineError::Job {
+                            job: job.name.clone(),
+                            source,
+                        })?;
+                    CircuitReport {
+                        result,
+                        topology: job.map.label().to_string(),
+                        calibration: cal.label().to_string(),
+                        routed: Some(cached.routed.clone()),
+                        verification: cached.verification.clone(),
+                        route_time: Duration::ZERO,
+                        pipeline_time: Duration::ZERO,
+                    }
                 }
-            });
+            };
             if !config.keep_routed {
                 report.routed = None;
             }

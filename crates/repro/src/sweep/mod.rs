@@ -143,6 +143,32 @@ mod tests {
         assert!(msg.contains("NOPE") && msg.contains("GHZ"), "{msg}");
     }
 
+    /// Calibrations whose generated values overflow (`1e308` spreads
+    /// and gradients) score `inf` durations or `NaN` fidelities; the
+    /// engine's scoring stage rejects them with a typed error, so the
+    /// sweep returns it and renders no cell.
+    #[test]
+    fn overflowing_calibrations_fail_typed() {
+        use paradrive_engine::EngineError;
+        use paradrive_transpiler::TranspileError;
+        for cal in ["spread1e308", "gradient1e308"] {
+            let mut spec = SweepSpec::smoke();
+            spec.topologies = vec!["grid4x4".into()];
+            spec.benchmarks = vec!["GHZ".into()];
+            spec.calibrations = vec![cal.into()];
+            match run_sweep(&spec) {
+                Err(SweepError::Engine(EngineError::Job {
+                    job,
+                    source: TranspileError::InvalidCalibration(why),
+                })) => {
+                    assert_eq!(job, "GHZ");
+                    assert!(why.contains("non-finite"), "{cal}: {why}");
+                }
+                other => panic!("{cal}: expected a typed scoring error, got {other:?}"),
+            }
+        }
+    }
+
     #[test]
     fn smoke_sweep_fills_every_cell() {
         let spec = SweepSpec::smoke();

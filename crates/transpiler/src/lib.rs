@@ -103,7 +103,9 @@ pub enum TranspileError {
         /// The offending value.
         value: f64,
     },
-    /// A calibration generator was given inconsistent parameters.
+    /// A calibration generator was given inconsistent parameters, or a
+    /// calibration's values overflowed so a job scored a non-finite
+    /// duration or fidelity under it.
     InvalidCalibration(String),
     /// A job's calibration was built for a different device size than its
     /// coupling map.
