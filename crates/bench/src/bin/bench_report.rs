@@ -30,8 +30,9 @@ use std::process::{Command, ExitCode};
 use std::time::Instant;
 
 /// The tracked suites, in run order.
-const SUITES: [&str; 7] = [
+const SUITES: [&str; 8] = [
     "kernels",
+    "pipeline",
     "engine",
     "verify",
     "mps",
