@@ -1,8 +1,8 @@
 //! Micro-kernels underpinning every experiment: matrix exponentials,
 //! Weyl-coordinate extraction, Haar sampling, simplex steps — and the
 //! statevector gate-apply kernels, measured on both engines so the
-//! scalar-vs-lanes speedup of the dense kernels is part of the tracked
-//! perf trajectory.
+//! scalar-vs-lanes speedup of the dense and real kernels is part of the
+//! tracked perf trajectory.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use paradrive_circuit::{Circuit, OneQ, TwoQ};
@@ -53,8 +53,9 @@ fn bench_nelder_mead(c: &mut Criterion) {
 /// A 20-qubit apply-heavy layer spanning every kernel regime: contiguous
 /// high-bit 1Q/2Q runs, the strided low-bit 1Q patterns, and a low-bit 2Q
 /// block — 17 gates, all unitary, so repeated application is stable.
-/// H, CX, Rz and iSWAP all have a shape, so both paths run the same
-/// shaped kernels here.
+/// CX, Rz and iSWAP are monomial, so both paths run the same shaped
+/// kernels for them; H is real and takes the lanes body on the lanes
+/// path.
 fn apply_heavy_20q() -> Circuit {
     let n = 20;
     let mut c = Circuit::new(n);
@@ -68,6 +69,30 @@ fn apply_heavy_20q() -> Circuit {
         c.push_1q(OneQ::Rz(0.3), q);
     }
     c.push_2q(TwoQ::ISwap, 18, 19);
+    c
+}
+
+/// The same regimes as [`apply_heavy_20q`] in the gates of a
+/// consolidated VQE ansatz layer: Ry rotations and real fused
+/// CX·(Ry⊗Ry) blocks, so every apply runs the real kernels of the chosen
+/// path.
+fn apply_real_20q() -> Circuit {
+    let n = 20;
+    let block = |theta: f64, phi: f64| {
+        let ry_ry = OneQ::Ry(theta).unitary().kron(&OneQ::Ry(phi).unitary());
+        TwoQ::Unitary(Box::new(TwoQ::Cx.unitary().mul(&ry_ry)))
+    };
+    let mut c = Circuit::new(n);
+    for q in (0..n).step_by(3) {
+        c.push_1q(OneQ::Ry(0.3), q);
+    }
+    for a in [0, 5, 9, 13, 17] {
+        c.push_2q(block(0.4, -1.3), a, a + 1);
+    }
+    for q in (1..n).step_by(5) {
+        c.push_1q(OneQ::Ry(-0.7), q);
+    }
+    c.push_2q(block(1.1, 0.2), 18, 19);
     c
 }
 
@@ -95,14 +120,15 @@ fn apply_dense_20q() -> Circuit {
     c
 }
 
-/// Both 20-qubit workloads through the scalar reference kernels and the
+/// The 20-qubit workloads through the scalar reference kernels and the
 /// lane-parallel engine. On `apply_dense_20q` the tracked expectation is
-/// lanes ≥ 1.5× scalar on AVX2 hosts; on `apply_heavy_20q` both paths
-/// run the same shaped kernels.
+/// lanes ≥ 1.5× scalar on AVX2 hosts; `apply_real_20q` tracks the real
+/// lanes body, and `apply_heavy_20q` a mix that is mostly monomial.
 fn bench_statevector_apply(c: &mut Criterion) {
     let mut st = State::zero(20);
     for (name, circuit) in [
         ("apply_heavy_20q", apply_heavy_20q()),
+        ("apply_real_20q", apply_real_20q()),
         ("apply_dense_20q", apply_dense_20q()),
     ] {
         for (path, label) in [(KernelPath::Scalar, "scalar"), (KernelPath::Lanes, "lanes")] {

@@ -765,6 +765,35 @@ mod tests {
         assert!(matches!(source, TranspileError::InvalidCalibration(_)));
     }
 
+    /// The scoring stage's backstop: edges slow enough that one
+    /// critical path overflows, though each edge's own values are finite,
+    /// fail the job typed instead of reporting `inf`.
+    #[test]
+    fn scores_that_overflow_are_job_errors() {
+        use paradrive_transpiler::calibration::EdgeCalibration;
+        use std::sync::Arc;
+        let line = Arc::new(CouplingMap::line(4));
+        let slow = EdgeCalibration {
+            duration_factor: f64::MAX / 2.0,
+            error_rate: 0.0,
+        };
+        let cal = Calibration::uniform(&line, EngineConfig::default().fidelity)
+            .with_edge(0, 1, slow)
+            .with_edge(1, 2, slow)
+            .with_edge(2, 3, slow);
+        let mut batch = Batch::with_shared(Arc::clone(&line));
+        batch.push_calibrated("slow", benchmarks::ghz(4), line, Arc::new(cal));
+        let err = run_batch(&batch, &EngineConfig::default().routing_seeds(1)).unwrap_err();
+        let EngineError::Job { job, source } = err else {
+            panic!("expected a job error");
+        };
+        assert_eq!(job, "slow");
+        let TranspileError::InvalidCalibration(why) = source else {
+            panic!("expected InvalidCalibration, got {source:?}");
+        };
+        assert!(why.contains("non-finite"), "{why}");
+    }
+
     #[test]
     fn verification_verdicts_pass_and_are_thread_deterministic() {
         let batch = small_batch();

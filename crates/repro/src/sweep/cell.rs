@@ -212,9 +212,12 @@ impl SweepPlan {
                     let timeline =
                         CalibrationTimeline::generate(cal, map, &scenario.spec(spec.epochs, seed))
                             .map_err(|e| SweepError::InvalidDrift {
+                                // The scenario as spelled, which stays short
+                                // where the canonical label prints every
+                                // digit of a huge sigma.
                                 reason: format!(
                                     "scenario `{}` on {}/{}: {e}",
-                                    scenario.label,
+                                    spec.drift.as_deref().unwrap_or(&scenario.label),
                                     map.label(),
                                     cal.label()
                                 ),

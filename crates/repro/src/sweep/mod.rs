@@ -143,29 +143,35 @@ mod tests {
         assert!(msg.contains("NOPE") && msg.contains("GHZ"), "{msg}");
     }
 
-    /// Calibrations whose generated values overflow (`1e308` spreads
-    /// and gradients) score `inf` durations or `NaN` fidelities; the
-    /// engine's scoring stage rejects them with a typed error, so the
-    /// sweep returns it and renders no cell.
+    /// Calibrations and drifts whose generated values overflow (`1e308`
+    /// spreads, gradients and walks) fail typed in the planner, which
+    /// names the parameter in short form. `run_sweep` plans before it
+    /// routes, so it fails the same way with no job routed.
     #[test]
     fn overflowing_calibrations_fail_typed() {
-        use paradrive_engine::EngineError;
-        use paradrive_transpiler::TranspileError;
-        for cal in ["spread1e308", "gradient1e308"] {
+        for (cal, drift) in [
+            ("spread1e308", None),
+            ("gradient1e308", None),
+            ("uniform", Some("walk1e308")),
+        ] {
             let mut spec = SweepSpec::smoke();
             spec.topologies = vec!["grid4x4".into()];
             spec.benchmarks = vec!["GHZ".into()];
             spec.calibrations = vec![cal.into()];
-            match run_sweep(&spec) {
-                Err(SweepError::Engine(EngineError::Job {
-                    job,
-                    source: TranspileError::InvalidCalibration(why),
-                })) => {
-                    assert_eq!(job, "GHZ");
-                    assert!(why.contains("non-finite"), "{cal}: {why}");
-                }
-                other => panic!("{cal}: expected a typed scoring error, got {other:?}"),
+            if let Some(drift) = drift {
+                spec.drift = Some(drift.into());
+                spec.epochs = 3;
             }
+            let planned = SweepPlan::new(&spec).unwrap_err();
+            let why = match &planned {
+                SweepError::Calibration(CalibrationParseError::Rejected { reason, .. }) => reason,
+                SweepError::InvalidDrift { reason } => reason,
+                other => panic!("{cal}: expected a planner rejection, got {other:?}"),
+            };
+            assert!(why.contains("1e308"), "{cal}: {why}");
+            assert!(!why.contains("00000"), "{cal}: {why}");
+            let ran = run_sweep(&spec).unwrap_err();
+            assert_eq!(ran.to_string(), planned.to_string(), "{cal}");
         }
     }
 

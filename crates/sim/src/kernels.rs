@@ -4,16 +4,20 @@
 //! # Shapes
 //!
 //! The two gate dispatchers (`apply_1q`, `apply_2q`) sort each matrix by
-//! exact comparison of its entries, before the Scalar/Lanes split, so
-//! both paths run the same code for a shaped gate:
+//! exact comparison of its entries, before the Scalar/Lanes split:
 //!
 //! - *Monomial*: every row has exactly one nonzero entry — CZ, CPhase,
 //!   Rzz, iSWAP, Rz, S, T, and the permutations CX, SWAP, X and CX·SWAP.
 //!   The kernel moves each amplitude into place (runs of eight or more
 //!   as whole slices) and multiplies it by its entry unless the entry is
-//!   exactly `1+0i`. A permutation therefore only moves amplitudes.
+//!   exactly `1+0i`. A permutation therefore only moves amplitudes. Both
+//!   paths run the same code.
 //! - *Real*: every imaginary part is exactly zero — H, Ry and real fused
-//!   blocks. The kernel multiplies real by complex.
+//!   blocks. The kernel multiplies real by complex. The Scalar path runs
+//!   the shared body one amplitude at a time; the Lanes path streams the
+//!   runs through `F64x4` registers (see *Bit identity*), inside the
+//!   AVX2 island on x86-64. An x86-64 host without AVX2 keeps the shared
+//!   body on both paths.
 //! - *Dense*: everything else, on the engine the caller chose.
 //!
 //! Only exact equality counts: an entry 1e-300 away from zero is nonzero,
@@ -54,10 +58,18 @@
 //! keeps its bits. The unit tests below check both claims shape by
 //! shape.
 //!
+//! The Real lanes body computes, in every `f64` lane, the expression the
+//! shared body computes for that real or imaginary part, with the same
+//! products added in the same order. Only the grouping of independent
+//! amplitudes into lanes changes, so the two paths agree bit for bit,
+//! signed zeros included, like the dense engines.
+//!
 //! Lane widths below the packing granularity (a 1Q target in the last two
 //! index bits of a < 8-amplitude register, or a 2Q pair whose lower bit
 //! sits in the last two positions) fall back to the scalar expression —
-//! same arithmetic, different loop shape.
+//! same arithmetic, different loop shape. The Real lanes body takes 1Q
+//! runs of four or more amplitudes and 2Q runs of two or more; shorter
+//! runs measured no faster in lanes and keep the shared body.
 
 use paradrive_linalg::C64;
 use paradrive_obs::Counter;
@@ -209,6 +221,43 @@ mod avx {
             false
         }
     }
+
+    #[target_feature(enable = "avx2")]
+    fn pairs_avx(amps: &mut [C64], bit: usize, op: &impl BlockOp<2>) {
+        for_each_pair(amps, bit, op);
+    }
+
+    #[target_feature(enable = "avx2")]
+    fn quads_avx(amps: &mut [C64], bit_a: usize, bit_b: usize, op: &impl BlockOp<4>) {
+        for_each_quad(amps, bit_a, bit_b, op);
+    }
+
+    /// Walks a shaped 1Q op with AVX2 codegen when the host has it.
+    pub(super) fn pairs(amps: &mut [C64], bit: usize, op: &impl BlockOp<2>) -> bool {
+        if lanes_available() {
+            // SAFETY: lanes_available() just confirmed avx2 on this host.
+            unsafe { pairs_avx(amps, bit, op) };
+            true
+        } else {
+            false
+        }
+    }
+
+    /// Walks a shaped 2Q op with AVX2 codegen when the host has it.
+    pub(super) fn quads(
+        amps: &mut [C64],
+        bit_a: usize,
+        bit_b: usize,
+        op: &impl BlockOp<4>,
+    ) -> bool {
+        if lanes_available() {
+            // SAFETY: lanes_available() just confirmed avx2 on this host.
+            unsafe { quads_avx(amps, bit_a, bit_b, op) };
+            true
+        } else {
+            false
+        }
+    }
 }
 
 /// Four `f64` lanes, written so LLVM lowers the lane-wise ops to packed
@@ -223,6 +272,19 @@ impl F64x4 {
     #[inline(always)]
     pub fn splat(v: f64) -> Self {
         F64x4([v; 4])
+    }
+
+    /// Two consecutive amplitudes, interleaved: `[re0, im0, re1, im1]`.
+    #[inline(always)]
+    fn load_pair(src: &[C64; 2]) -> Self {
+        F64x4([src[0].re, src[0].im, src[1].re, src[1].im])
+    }
+
+    /// The inverse of [`F64x4::load_pair`].
+    #[inline(always)]
+    fn store_pair(self, dst: &mut [C64; 2]) {
+        dst[0] = C64::new(self.0[0], self.0[1]);
+        dst[1] = C64::new(self.0[2], self.0[3]);
     }
 }
 
@@ -508,9 +570,76 @@ impl<const N: usize> BlockOp<N> for Real<N> {
     }
 }
 
+/// A [`Real`] matrix on the lanes path. A real entry scales the real and
+/// imaginary parts of an amplitude alike and never mixes them, so the
+/// runs stream through `F64x4` registers as they lie in memory, two
+/// amplitudes (`[re0, im0, re1, im1]`) per register, with no shuffles.
+/// Every lane sums `((m0·x0 + m1·x1) + m2·x2) + m3·x3` over the matching
+/// part `x` of each run: the expression [`Real::apply`] builds for that
+/// part from `real_mul` and left-to-right adds. Runs of one amplitude
+/// keep the shared body.
+#[derive(Debug, Clone, Copy)]
+struct RealLanes<const N: usize>(Real<N>);
+
+impl<const N: usize> BlockOp<N> for RealLanes<N> {
+    #[inline(always)]
+    fn apply(&self, z: [&mut C64; N]) {
+        self.0.apply(z);
+    }
+
+    #[inline(always)]
+    fn apply_runs(&self, runs: [&mut [C64]; N]) {
+        let pairs = runs[0].len() / 2;
+        if pairs == 0 {
+            return self.0.apply_runs(runs);
+        }
+        let Real(m) = &self.0;
+        let mut streams = runs.map(|run| &mut run.as_chunks_mut::<2>().0[..pairs]);
+        for k in 0..pairs {
+            let old: [F64x4; N] = std::array::from_fn(|c| F64x4::load_pair(&streams[c][k]));
+            for (stream, row) in streams.iter_mut().zip(m) {
+                let mut sum = F64x4::splat(row[0]) * old[0];
+                for c in 1..N {
+                    sum = sum + F64x4::splat(row[c]) * old[c];
+                }
+                sum.store_pair(&mut stream[k]);
+            }
+        }
+    }
+}
+
+/// Applies a Real 1Q op with the lanes body and returns true, or returns
+/// false and leaves `amps` alone on an x86-64 host without AVX2. Those
+/// hosts keep the shared body: compiling a portable lanes body into the
+/// dispatcher as well measured a slower shared body on runs of one.
+fn real_lanes_1q(amps: &mut [C64], bit: usize, op: Real<2>) -> bool {
+    #[cfg(target_arch = "x86_64")]
+    {
+        avx::pairs(amps, bit, &RealLanes(op))
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        for_each_pair(amps, bit, &RealLanes(op));
+        true
+    }
+}
+
+/// The 2Q counterpart of [`real_lanes_1q`].
+fn real_lanes_2q(amps: &mut [C64], bit_a: usize, bit_b: usize, op: Real<4>) -> bool {
+    #[cfg(target_arch = "x86_64")]
+    {
+        avx::quads(amps, bit_a, bit_b, &RealLanes(op))
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        for_each_quad(amps, bit_a, bit_b, &RealLanes(op));
+        true
+    }
+}
+
 /// Applies `op` to every pair of runs `bit` splits the register into, in
-/// logical order (`bit` clear, then set). Runs shorter than eight
-/// amplitudes get a compile-time length, so the walk unrolls.
+/// logical order (`bit` clear, then set). Runs of up to eight amplitudes
+/// get a compile-time length, so the walk unrolls.
 #[inline(always)]
 fn for_each_pair(amps: &mut [C64], bit: usize, op: &impl BlockOp<2>) {
     #[inline(always)]
@@ -525,6 +654,7 @@ fn for_each_pair(amps: &mut [C64], bit: usize, op: &impl BlockOp<2>) {
         1 => walk::<1>(amps, bit, op),
         2 => walk::<2>(amps, bit, op),
         4 => walk::<4>(amps, bit, op),
+        8 => walk::<8>(amps, bit, op),
         _ => walk::<0>(amps, bit, op),
     }
 }
@@ -560,6 +690,7 @@ fn for_each_quad(amps: &mut [C64], bit_a: usize, bit_b: usize, op: &impl BlockOp
         1 => walk::<1>(amps, bit_a, bit_b, op),
         2 => walk::<2>(amps, bit_a, bit_b, op),
         4 => walk::<4>(amps, bit_a, bit_b, op),
+        8 => walk::<8>(amps, bit_a, bit_b, op),
         _ => walk::<0>(amps, bit_a, bit_b, op),
     }
 }
@@ -662,7 +793,13 @@ pub(crate) fn apply_1q(path: KernelPath, amps: &mut [C64], bit: usize, g: [C64; 
     dispatch_counters()[counter].incr(1);
     match classify(&[[g[0], g[1]], [g[2], g[3]]]) {
         Shape::Monomial(op) => for_each_pair(amps, bit, &op),
-        Shape::Real(op) => for_each_pair(amps, bit, &op),
+        Shape::Real(op) => {
+            // Shorter runs measured no faster in lanes (see the module docs).
+            let lanes = path == KernelPath::Lanes && bit >= 4;
+            if !(lanes && real_lanes_1q(amps, bit, op)) {
+                for_each_pair(amps, bit, &op);
+            }
+        }
         Shape::Dense => match path {
             KernelPath::Scalar => apply_1q_scalar(amps, bit, g),
             KernelPath::Lanes => {
@@ -879,7 +1016,13 @@ pub(crate) fn apply_2q(
     dispatch_counters()[counter].incr(1);
     match classify(m) {
         Shape::Monomial(op) => for_each_quad(amps, bit_a, bit_b, &op),
-        Shape::Real(op) => for_each_quad(amps, bit_a, bit_b, &op),
+        Shape::Real(op) => {
+            // Runs of one measured no faster in lanes (see the module docs).
+            let lanes = path == KernelPath::Lanes && bit_a.min(bit_b) >= 2;
+            if !(lanes && real_lanes_2q(amps, bit_a, bit_b, op)) {
+                for_each_quad(amps, bit_a, bit_b, &op);
+            }
+        }
         Shape::Dense => match path {
             KernelPath::Scalar => apply_2q_scalar(amps, bit_a, bit_b, m),
             KernelPath::Lanes => {
@@ -904,6 +1047,21 @@ mod tests {
             .map(|i| C64::new(0.1 + i as f64 * 0.3, -0.2 + i as f64 * 0.05))
             .collect()
     }
+
+    /// Amplitudes whose parts cycle through exact `+0`, `−0` and a
+    /// nonzero value, so every sign of zero meets every matrix entry.
+    fn signed_zeros(n: usize) -> Vec<C64> {
+        const PARTS: [f64; 3] = [0.0, -0.0, -0.7];
+        (0..n)
+            .map(|i| C64::new(PARTS[i % 3], PARTS[i / 3 % 3]))
+            .collect()
+    }
+
+    /// A named register fill of a given length.
+    type Input = (&'static str, fn(usize) -> Vec<C64>);
+
+    /// The inputs the shape checks run every matrix on.
+    const INPUTS: [Input; 2] = [("ramp", ramp), ("signed zeros", signed_zeros)];
 
     #[test]
     fn one_q_paths_agree_bitwise_on_every_bit() {
@@ -962,8 +1120,8 @@ mod tests {
     }
 
     /// The shape contract: through either path, every amplitude `==` the
-    /// dense kernel's, with the same `norm_sqr` bits; and both paths,
-    /// running the same shaped code, agree bit for bit.
+    /// dense kernel's, with the same `norm_sqr` bits; and the two paths
+    /// agree bit for bit, signs of zero included.
     fn assert_matches_dense(paths: &[Vec<C64>; 2], dense: &[C64], context: &str) {
         for (i, ((s, l), d)) in paths[0].iter().zip(&paths[1]).zip(dense).enumerate() {
             assert!(s == d, "{context}: amplitude {i}: {s:?} vs dense {d:?}");
@@ -981,37 +1139,44 @@ mod tests {
     }
 
     /// Checks a 1Q matrix through both dispatcher paths against the dense
-    /// scalar kernel, on every qubit of every width 2–9.
+    /// scalar kernel, on every qubit of every width 2–9, from each of
+    /// [`INPUTS`].
     fn check_1q(name: &str, g: [C64; 4]) {
-        for n in 2..10usize {
-            for q in 0..n {
-                let bit = 1usize << (n - 1 - q);
-                let mut dense = ramp(1 << n);
-                apply_1q_scalar(&mut dense, bit, g);
-                let paths = [KernelPath::Scalar, KernelPath::Lanes].map(|path| {
-                    let mut amps = ramp(1 << n);
-                    apply_1q(path, &mut amps, bit, g);
-                    amps
-                });
-                assert_matches_dense(&paths, &dense, &format!("{name} n={n} q={q}"));
+        for (input, fill) in INPUTS {
+            for n in 2..10usize {
+                for q in 0..n {
+                    let bit = 1usize << (n - 1 - q);
+                    let mut dense = fill(1 << n);
+                    apply_1q_scalar(&mut dense, bit, g);
+                    let paths = [KernelPath::Scalar, KernelPath::Lanes].map(|path| {
+                        let mut amps = fill(1 << n);
+                        apply_1q(path, &mut amps, bit, g);
+                        amps
+                    });
+                    let context = format!("{name} on {input} n={n} q={q}");
+                    assert_matches_dense(&paths, &dense, &context);
+                }
             }
         }
     }
 
     /// Checks a 4×4 matrix like [`check_1q`], on every ordered pair.
     fn check_2q(name: &str, m: &[[C64; 4]; 4]) {
-        for n in 2..10usize {
-            for a in 0..n {
-                for b in (0..n).filter(|&b| b != a) {
-                    let (bit_a, bit_b) = (1usize << (n - 1 - a), 1usize << (n - 1 - b));
-                    let mut dense = ramp(1 << n);
-                    apply_2q_scalar(&mut dense, bit_a, bit_b, m);
-                    let paths = [KernelPath::Scalar, KernelPath::Lanes].map(|path| {
-                        let mut amps = ramp(1 << n);
-                        apply_2q(path, &mut amps, bit_a, bit_b, m);
-                        amps
-                    });
-                    assert_matches_dense(&paths, &dense, &format!("{name} n={n} a={a} b={b}"));
+        for (input, fill) in INPUTS {
+            for n in 2..10usize {
+                for a in 0..n {
+                    for b in (0..n).filter(|&b| b != a) {
+                        let (bit_a, bit_b) = (1usize << (n - 1 - a), 1usize << (n - 1 - b));
+                        let mut dense = fill(1 << n);
+                        apply_2q_scalar(&mut dense, bit_a, bit_b, m);
+                        let paths = [KernelPath::Scalar, KernelPath::Lanes].map(|path| {
+                            let mut amps = fill(1 << n);
+                            apply_2q(path, &mut amps, bit_a, bit_b, m);
+                            amps
+                        });
+                        let context = format!("{name} on {input} n={n} a={a} b={b}");
+                        assert_matches_dense(&paths, &dense, &context);
+                    }
                 }
             }
         }

@@ -59,6 +59,8 @@ fn warm_gate_permute_and_reset_paths_never_allocate() {
     let rz = OneQ::Rz(0.37).unitary();
     let cx = TwoQ::Cx.unitary();
     let iswap = TwoQ::ISwap.unitary();
+    // A real fused block, as consolidation emits for CX·(Ry⊗Ry).
+    let real_block = cx.mul(&OneQ::Ry(0.4).unitary().kron(&OneQ::Ry(-1.3).unitary()));
     let mut st = State::zero(n);
     let mut logical = State::zero(n - 2);
     let mut wide = State::zero(n);
@@ -79,6 +81,7 @@ fn warm_gate_permute_and_reset_paths_never_allocate() {
             for a in 0..n - 1 {
                 st.apply_2q_with(&cx, a, a + 1, path).unwrap();
                 st.apply_2q_with(&iswap, a + 1, a, path).unwrap();
+                st.apply_2q_with(&real_block, a, a + 1, path).unwrap();
             }
         });
         assert_eq!(count, 0, "gate applies allocated on the {path:?} path");

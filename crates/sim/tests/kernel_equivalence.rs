@@ -16,9 +16,10 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 /// A seeded random circuit drawing from the full 1Q/2Q gate alphabet.
-/// Most of it has a shape the dispatchers apply with shared code; Rx,
-/// U3, √iSWAP and the Haar-random 4×4s reach the dense Scalar/Lanes
-/// pair.
+/// CX, CZ, CPhase, Rzz, iSWAP, X, S, T and Rz are monomial, which both
+/// paths apply with shared code. H, Ry and the fused CX·(Ry⊗Ry) blocks
+/// are real, and Rx, U3, √iSWAP and the Haar-random 4×4s are dense: each
+/// of those shapes has a Scalar body and a Lanes body.
 fn random_circuit(n: usize, ops: usize, seed: u64) -> Circuit {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut c = Circuit::new(n);
@@ -31,13 +32,18 @@ fn random_circuit(n: usize, ops: usize, seed: u64) -> Circuit {
                 b += 1;
             }
             let theta = rng.gen_range(-3.0..3.0);
-            let gate = match rng.gen_range(0..7u32) {
+            let gate = match rng.gen_range(0..8u32) {
                 0 => TwoQ::Cx,
                 1 => TwoQ::Cz,
                 2 => TwoQ::CPhase(theta),
                 3 => TwoQ::Rzz(theta),
                 4 => TwoQ::ISwap,
                 5 => TwoQ::SqrtISwap,
+                6 => {
+                    let phi = rng.gen_range(-3.0..3.0);
+                    let ry_ry = OneQ::Ry(theta).unitary().kron(&OneQ::Ry(phi).unitary());
+                    TwoQ::Unitary(Box::new(TwoQ::Cx.unitary().mul(&ry_ry)))
+                }
                 _ => TwoQ::Unitary(Box::new(random_unitary(4, &mut rng))),
             };
             c.push_2q(gate, a, b);

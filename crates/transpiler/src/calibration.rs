@@ -152,7 +152,9 @@ impl Calibration {
     /// # Errors
     ///
     /// Returns [`TranspileError::InvalidCalibration`] when `sigma` is
-    /// negative or non-finite.
+    /// negative or non-finite, or so large that a generated value leaves
+    /// the physical range: a lifetime that is not positive, or a duration
+    /// factor that is not positive or overflows in nanoseconds.
     pub fn spread(
         map: &CouplingMap,
         base: FidelityModel,
@@ -180,7 +182,7 @@ impl Calibration {
             e.duration_factor = lognormal(&mut rng, sigma / 2.0);
             e.error_rate = (floor * lognormal(&mut rng, sigma)).min(0.5);
         }
-        Ok(cal)
+        cal.checked(|| format!("spread sigma {}", short(sigma)))
     }
 
     /// A clean device with `k` seeded hotspot edges. Each picked edge is
@@ -243,7 +245,8 @@ impl Calibration {
     /// # Errors
     ///
     /// Returns [`TranspileError::InvalidCalibration`] when `strength` is
-    /// negative or non-finite.
+    /// negative or non-finite, or so large that a generated value leaves
+    /// the physical range, as for [`Calibration::spread`].
     pub fn gradient(
         map: &CouplingMap,
         base: FidelityModel,
@@ -277,7 +280,61 @@ impl Calibration {
             e.error_rate = (floor * strength * (mid + 4.0 * span)).min(0.5);
             e.duration_factor = 1.0 + strength * span;
         }
-        Ok(cal)
+        cal.checked(|| format!("gradient strength {}", short(strength)))
+    }
+
+    /// The first generated value outside the physical range, described
+    /// for an error message: a lifetime that is not positive, a duration
+    /// factor that is not positive or whose nominal gate time overflows
+    /// in nanoseconds, or an error rate outside `[0, 1)`. `None` when
+    /// every value is physical. The generators check this, so a parameter
+    /// that overflows fails before any job routes.
+    fn unphysical(&self) -> Option<String> {
+        let positive = |x: f64| x > 0.0;
+        let duration_ok = |factor: f64| positive(factor) && self.base.to_ns(factor).is_finite();
+        for (q, qc) in self.qubits.iter().enumerate() {
+            for (what, t) in [("T1", qc.t1_ns), ("T2", qc.t2_ns)] {
+                if !positive(t) {
+                    return Some(format!("qubit {q} a non-positive {what} ({} ns)", short(t)));
+                }
+            }
+            if !duration_ok(qc.d1q_factor) {
+                return Some(format!(
+                    "qubit {q} a 1Q duration factor of {} ({} ns per nominal pulse)",
+                    short(qc.d1q_factor),
+                    short(self.base.to_ns(qc.d1q_factor))
+                ));
+            }
+        }
+        for (&(a, b), ec) in &self.edges {
+            if !duration_ok(ec.duration_factor) {
+                return Some(format!(
+                    "edge ({a},{b}) a 2Q duration factor of {} ({} ns per nominal pulse)",
+                    short(ec.duration_factor),
+                    short(self.base.to_ns(ec.duration_factor))
+                ));
+            }
+            if !(0.0..1.0).contains(&ec.error_rate) {
+                return Some(format!(
+                    "edge ({a},{b}) an error rate outside [0, 1) ({})",
+                    short(ec.error_rate)
+                ));
+            }
+        }
+        None
+    }
+
+    /// `self` when [`Calibration::unphysical`] finds nothing, else an
+    /// [`TranspileError::InvalidCalibration`] naming the generator
+    /// parameter `param` describes.
+    fn checked(self, param: impl FnOnce() -> String) -> Result<Self, TranspileError> {
+        match self.unphysical() {
+            None => Ok(self),
+            Some(what) => Err(TranspileError::InvalidCalibration(format!(
+                "{} gives {what}",
+                param()
+            ))),
+        }
     }
 
     /// Overrides one qubit's calibration (builder for tests and custom
@@ -544,6 +601,17 @@ fn lognormal(rng: &mut StdRng, sigma: f64) -> f64 {
     (sigma * standard_normal(rng)).exp()
 }
 
+/// `x` in the shorter of plain and exponent notation (`0.3`, `1e308`),
+/// so an error message stays short at any magnitude.
+fn short(x: f64) -> String {
+    let (plain, exp) = (x.to_string(), format!("{x:e}"));
+    if exp.len() < plain.len() {
+        exp
+    } else {
+        plain
+    }
+}
+
 /// The decoherence-limited error of one nominal 2Q pulse (both wires decay
 /// for one iSWAP duration) — the floor heterogeneous error rates spread
 /// around.
@@ -623,6 +691,8 @@ mod tests {
         let other = Calibration::spread(&map, paper(), 0.3, 8).unwrap();
         assert_ne!(cal, other);
         assert!(Calibration::spread(&map, paper(), -0.1, 7).is_err());
+        // A sigma whose draws overflow lifetimes and durations.
+        assert!(Calibration::spread(&map, paper(), 1e308, 7).is_err());
     }
 
     #[test]
@@ -681,6 +751,10 @@ mod tests {
             "chip-boundary link {link} should exceed intra-chip {intra}"
         );
         assert!(Calibration::gradient(&map, paper(), f64::NAN).is_err());
+        // The check bounds generated values, not the parameter: 1e300
+        // still gives finite gate times, 1e308 does not.
+        assert!(Calibration::gradient(&map, paper(), 1e300).is_ok());
+        assert!(Calibration::gradient(&map, paper(), 1e308).is_err());
     }
 
     #[test]

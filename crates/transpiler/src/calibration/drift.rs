@@ -49,7 +49,7 @@
 //! ```
 
 use super::{
-    connected_without, lognormal, Calibration, EdgeCalibration, HOTSPOT_DEAD_ERROR,
+    connected_without, lognormal, short, Calibration, EdgeCalibration, HOTSPOT_DEAD_ERROR,
     HOTSPOT_DEGRADED_ERROR,
 };
 use crate::topology::CouplingMap;
@@ -123,8 +123,9 @@ impl CalibrationTimeline {
     ///   built for `map`;
     /// - [`TranspileError::InvalidCalibration`] when a sigma is negative
     ///   or non-finite, `epochs` is zero, `dead_edges` exceeds the map's
-    ///   edge count, or dead-edge events are requested on a timeline too
-    ///   short to schedule them (`epochs < 2`).
+    ///   edge count, dead-edge events are requested on a timeline too
+    ///   short to schedule them (`epochs < 2`), or the walk drives a
+    ///   value out of the physical range (a lifetime to zero, say).
     pub fn generate(
         initial: &Calibration,
         map: &CouplingMap,
@@ -217,6 +218,13 @@ impl CalibrationTimeline {
                     }
                 };
             }
+            current = current.checked(|| {
+                format!(
+                    "drift qubit_sigma {}, edge_sigma {} at epoch {epoch}",
+                    short(spec.qubit_sigma),
+                    short(spec.edge_sigma)
+                )
+            })?;
             snapshots.push(Arc::new(current.clone()));
         }
         Ok(CalibrationTimeline { snapshots })
@@ -373,6 +381,8 @@ mod tests {
         assert!(bad(DriftSpec::walk(3, -0.1, 0, 1)));
         assert!(bad(DriftSpec::walk(3, 0.1, 1000, 1)));
         assert!(bad(DriftSpec::walk(1, 0.1, 1, 1)), "no epoch to fire in");
+        // A walk that drives lifetimes to zero or infinity.
+        assert!(bad(DriftSpec::walk(3, 1e308, 0, 1)));
         // Mismatched map is the calibration-validation error.
         let other = CouplingMap::ring(4);
         assert!(CalibrationTimeline::generate(&initial, &other, &DriftSpec::calm(2, 1)).is_err());
