@@ -60,8 +60,26 @@ fn bench_sampled_fusion(c: &mut Criterion) {
     }
 }
 
+/// Monte-Carlo oracle on the deepest Table VII workload: Multiplier-16
+/// routed on the 4×4 grid and replayed as consolidated blocks, as the
+/// engine replays it, with two samples.
+fn bench_sampled_multiplier(c: &mut Criterion) {
+    let map = CouplingMap::grid(4, 4);
+    let circuit = benchmarks::multiplier(4);
+    let routed = route(&circuit, &map, 0).expect("routable");
+    let items = consolidate(&routed.circuit).expect("consolidatable");
+    let physical = Physical::Consolidated {
+        items: &items,
+        n_qubits: map.n_qubits(),
+    };
+    let cfg = VerifyConfig::default().samples(2);
+    c.bench_function("verify/sampled/multiplier16", |b| {
+        b.iter(|| verify(black_box(&circuit), &physical, &routed.layout, &cfg).unwrap())
+    });
+}
+
 /// The engine-integrated path: a family-class batch with Monte-Carlo
-/// verification fanned out across the worker pool.
+/// verification, one pool unit per sample.
 fn bench_engine_verified_batch(c: &mut Criterion) {
     let mut batch = Batch::new(CouplingMap::grid(4, 4));
     batch.push("ghz16", benchmarks::ghz(16));
@@ -79,6 +97,7 @@ criterion_group!(
     benches,
     bench_exact_oracle,
     bench_sampled_fusion,
+    bench_sampled_multiplier,
     bench_engine_verified_batch
 );
 criterion_main!(benches);

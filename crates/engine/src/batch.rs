@@ -217,8 +217,10 @@ pub struct EngineConfig {
     /// default — the noise-blind scoring is the baseline costing.
     pub noise_aware: bool,
     /// Semantic verification level: each job's consolidated output is
-    /// replayed through the equivalence oracles on the worker that
-    /// finishes it (see [`paradrive_verify`]). `Off` by default.
+    /// replayed through the equivalence oracles (see
+    /// [`paradrive_verify`]): on the worker that finishes the job, or, at
+    /// [`VerifyLevel::Sampled`], one sample per pool unit on any worker.
+    /// `Off` by default.
     pub verify: VerifyLevel,
     /// Random product-state inputs per circuit for the Monte-Carlo
     /// verification oracle.
@@ -344,10 +346,15 @@ impl EngineConfig {
 
     /// The worker count [`crate::run_batch`] will actually spawn for
     /// `batch`: [`EngineConfig::effective_threads`] clamped to the number
-    /// of routing units (jobs × seeds), never below one.
+    /// of pool units, never below one. Every job has one routing unit per
+    /// seed and, at [`VerifyLevel::Sampled`], one sample unit per
+    /// Monte-Carlo sample.
     pub fn workers_for(&self, batch: &Batch) -> usize {
-        let units = batch.len() * self.routing_seeds.max(1) as usize;
-        self.effective_threads().min(units.max(1))
+        let mut per_job = self.routing_seeds.max(1) as usize;
+        if self.verify == VerifyLevel::Sampled {
+            per_job += self.verify_samples.max(1) as usize;
+        }
+        self.effective_threads().min((batch.len() * per_job).max(1))
     }
 }
 

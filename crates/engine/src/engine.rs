@@ -1,18 +1,29 @@
 //! The scoped worker pool that drives a [`Batch`] through the pipeline.
 //!
-//! Work is split into *routing units* — one per `(job, seed)` pair — so
-//! that best-of-N routing inside a single circuit fans across workers just
-//! like distinct circuits do. Workers pull units from a shared atomic
-//! cursor; the worker that completes a job's **last** unit immediately
-//! runs that job's back half (best-seed selection → consolidate →
-//! schedule → fidelity), so there is no barrier between phases and no
-//! idle tail while one late circuit finishes routing.
+//! Work is split into two kinds of unit. *Routing units* — one per
+//! `(job, seed)` pair — let best-of-N routing inside a single circuit fan
+//! across workers just like distinct circuits do; workers pull them from a
+//! shared atomic cursor. The worker that completes a job's **last**
+//! routing unit immediately runs that job's back half (best-seed
+//! selection → consolidate → verify → schedule → fidelity), so there is
+//! no barrier between phases and no idle tail while one late circuit
+//! finishes routing.
+//!
+//! At [`VerifyLevel::Sampled`] the back half only *prepares* the job's
+//! check ([`PreparedCheck`]) and then publishes its K Monte-Carlo samples
+//! as *sample units*, which any worker takes ahead of routing units. The
+//! worker that finishes a job's last sample folds the verdict and hands
+//! the report to the sink. A worker with nothing runnable waits on a
+//! condition variable while some job is still routing or preparing (its
+//! samples may yet come), and returns once none is.
 //!
 //! Determinism: every routing unit seeds its own `StdRng` from the unit's
 //! seed value, best-seed selection is "strictly fewer SWAPs, earliest seed
-//! wins" (exactly [`route_best_of`]'s rule), and results land in
-//! per-job slots — the output is a pure function of the batch and config,
-//! bit-for-bit identical at any thread count.
+//! wins" (exactly [`route_best_of`]'s rule), each sample's fidelity is a
+//! pure function of `(job, sample)`, the verdict folds the samples in
+//! sample order, and results land in per-job slots — the output is a pure
+//! function of the batch and config, bit-for-bit identical at any thread
+//! count.
 //!
 //! [`route_best_of`]: paradrive_transpiler::routing::route_best_of
 
@@ -29,9 +40,12 @@ use paradrive_transpiler::fidelity::FidelityModel;
 use paradrive_transpiler::routing::{route_with_oracle, NoiseOracle, Routed, RouterOptions};
 use paradrive_transpiler::CostModel;
 use paradrive_transpiler::TranspileError;
-use paradrive_verify::{verify, Physical, Verification, VerifyLevel};
+use paradrive_verify::{
+    Physical, PreparedCheck, RegisterPair, UnitOutcome, Verification, VerifyError, VerifyLevel,
+};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 /// A per-job completion sink for [`run_batch_streaming`]: called once per
@@ -72,10 +86,11 @@ pub fn run_batch(batch: &Batch, config: &EngineConfig) -> Result<EngineReport, E
         })
         .collect();
 
-    // Derive the per-job wall times from the trace spans — the single
-    // timing path (workers leave placeholders). A job's route time sums
-    // its per-seed "route" spans; its pipeline time sums the sequential
-    // back-half stages.
+    // Derive the per-job times from the trace spans — the single timing
+    // path (workers leave placeholders). A job's route time sums its
+    // per-seed "route" spans; its pipeline time sums every other span of
+    // the job: the back-half stages plus its sample units, which may run
+    // on several workers at once.
     let mut route_ns = vec![0u64; circuits.len()];
     let mut back_ns = vec![0u64; circuits.len()];
     for s in &summary.trace.spans {
@@ -198,6 +213,7 @@ pub(crate) fn run_pool(
     // process-global `paradrive_obs::global()` recorder is untouched here
     // — it stays opt-in for free-floating hot paths (simulator kernels).
     let rec = Recorder::new();
+    let split_samples = config.verify == VerifyLevel::Sampled;
     let shared = Shared {
         batch,
         config,
@@ -208,15 +224,33 @@ pub(crate) fn run_pool(
         units_left: (0..n_jobs).map(|_| AtomicUsize::new(seeds)).collect(),
         routed: (0..unit_count).map(|_| Mutex::new(None)).collect(),
         failures: (0..n_jobs).map(|_| Mutex::new(None)).collect(),
+        split_samples,
+        samples: Mutex::new(SampleQueue {
+            ready: VecDeque::new(),
+            open: if split_samples { n_jobs } else { 0 },
+        }),
+        sample_ready: Condvar::new(),
         seed_attempts: rec.counter("route.seed_attempts"),
         rec,
         sink,
     };
 
     if unit_count > 0 {
+        // Join each worker explicitly. The scope's own join returns once a
+        // worker's closure is done, before its OS thread has exited; the
+        // next batch's workers can then start while these still hold
+        // their malloc arenas (glibc's are per thread), so new arenas get
+        // made, each keeping the statevector registers freed into it. On
+        // `verify_16q` that raised the peak resident set from about 9 to
+        // 12–15 MB; joining keeps it flat from batch to batch.
         std::thread::scope(|scope| {
-            for _ in 0..threads {
-                scope.spawn(|| shared.run_worker());
+            let workers: Vec<_> = (0..threads)
+                .map(|_| scope.spawn(|| shared.run_worker()))
+                .collect();
+            for worker in workers {
+                if let Err(panic) = worker.join() {
+                    std::panic::resume_unwind(panic);
+                }
             }
         });
     }
@@ -265,6 +299,13 @@ fn fnv1a(bytes: &[u8]) -> u64 {
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
     h
+}
+
+/// The failing verdict of a check the oracles could not run.
+fn error_verdict(e: VerifyError) -> Verification {
+    Verification::Error {
+        reason: e.to_string(),
+    }
 }
 
 /// The schedule stage: scores consolidated items under both cost models
@@ -372,6 +413,14 @@ struct Shared<'a, 'sink> {
     routed: Vec<Mutex<Option<Result<Routed, TranspileError>>>>,
     /// Per-job error slots; successful reports go straight to the sink.
     failures: Vec<Mutex<Option<TranspileError>>>,
+    /// Whether sampled checks run as sample units ([`VerifyLevel::Sampled`]).
+    /// Otherwise the sample queue is never touched and workers never wait.
+    split_samples: bool,
+    /// Sample units ready to run, and the jobs that may still publish some.
+    samples: Mutex<SampleQueue<'a>>,
+    /// Signalled when sample units are published or the last open job
+    /// closes.
+    sample_ready: Condvar,
     /// Routing units executed (one per `(job, seed)` pair).
     seed_attempts: Counter,
     /// The batch-scoped recorder every stage span and counter lands in;
@@ -383,56 +432,216 @@ struct Shared<'a, 'sink> {
     sink: &'sink ItemSink<'sink>,
 }
 
-impl Shared<'_, '_> {
+/// The pool's sample units and the count that tells an idle worker
+/// whether to wait for more.
+struct SampleQueue<'a> {
+    /// Runnable sample units: `(sample, job)`, in publication order.
+    ready: VecDeque<(usize, Arc<SampledJob<'a>>)>,
+    /// Jobs still routing or preparing, whose sample units may yet be
+    /// published. A worker with nothing runnable waits while this is
+    /// non-zero and returns once it is zero.
+    open: usize,
+}
+
+/// A job whose check runs as sample units: the prepared check every unit
+/// reads, and the finished back half waiting for its verdict.
+struct SampledJob<'a> {
+    job: usize,
+    check: PreparedCheck<'a>,
+    folding: Mutex<Folding>,
+}
+
+/// The samples' outcomes in sample order, how many are outstanding, and
+/// the report and items to hand on once the last one lands.
+struct Folding {
+    outcomes: Vec<Option<Result<UnitOutcome, VerifyError>>>,
+    left: usize,
+    report: Option<(CircuitReport, Vec<Item>)>,
+}
+
+/// A finished back half: the job's report and consolidated items, and
+/// its sampled check when the verdict is still to come from sample units.
+type FinishedJob<'a> = (CircuitReport, Vec<Item>, Option<PreparedCheck<'a>>);
+
+/// Closes a job's back half in the sample queue when dropped — also on
+/// unwind, so a panicking back half cannot leave idle workers waiting.
+struct CloseJob<'s, 'a, 'sink>(&'s Shared<'a, 'sink>);
+
+impl Drop for CloseJob<'_, '_, '_> {
+    fn drop(&mut self) {
+        let mut queue = self.0.queue();
+        queue.open -= 1;
+        if queue.open == 0 {
+            self.0.sample_ready.notify_all();
+        }
+    }
+}
+
+impl<'a> Shared<'a, '_> {
     fn run_worker(&self) {
+        // At most one register pair per worker, allocated at its first
+        // sample and dropped when it returns.
+        let mut registers = RegisterPair::default();
         let unit_count = self.routed.len();
+        let mut routing = true;
         loop {
-            let unit = self.next_unit.fetch_add(1, Ordering::Relaxed);
-            if unit >= unit_count {
-                return;
+            if let Some((sample, job)) = self.take_sample(false) {
+                self.run_sample(sample, &job, &mut registers);
+                continue;
             }
-            let job = unit / self.seeds;
-            let seed = (unit % self.seeds) as u64;
-
-            let map = self.batch.map_for(job);
-            let result = {
-                let _span = self.rec.span_full("route", job as u64, || {
-                    format!("{}#{seed}", self.batch.jobs()[job].name)
-                });
-                self.seed_attempts.incr(1);
-                match &self.noise[job] {
-                    Ok(oracle) => route_with_oracle(
-                        &self.batch.jobs()[job].circuit,
-                        map,
-                        oracle.as_ref(),
-                        seed,
-                        RouterOptions::default(),
-                    ),
-                    Err(e) => Err(e.clone()),
+            if routing {
+                let unit = self.next_unit.fetch_add(1, Ordering::Relaxed);
+                if unit < unit_count {
+                    self.route_unit(unit);
+                    continue;
                 }
-            };
-            *self.routed[unit].lock().expect("routing slot poisoned") = Some(result);
+                routing = false;
+            }
+            match self.take_sample(true) {
+                Some((sample, job)) => self.run_sample(sample, &job, &mut registers),
+                None => return,
+            }
+        }
+    }
 
-            // The worker that finishes a job's last routing unit runs the
-            // job's back half right away and streams the report out.
-            if self.units_left[job].fetch_sub(1, Ordering::AcqRel) == 1 {
-                match self.finish_job(job) {
-                    Ok((report, items)) => (self.sink)(job, report, items),
-                    Err(e) => {
-                        *self.failures[job].lock().expect("failure slot poisoned") = Some(e);
-                    }
+    /// The sample queue's lock. Nothing panics while holding it, but a
+    /// poisoned lock still guards consistent data, so it is taken anyway.
+    fn queue(&self) -> MutexGuard<'_, SampleQueue<'a>> {
+        self.samples.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// The next runnable sample unit. With `wait`, blocks while none is
+    /// runnable but some job may still publish one; `None` means no
+    /// sample unit will come (always, when samples are not split).
+    fn take_sample(&self, wait: bool) -> Option<(usize, Arc<SampledJob<'a>>)> {
+        if !self.split_samples {
+            return None;
+        }
+        let mut queue = self.queue();
+        loop {
+            if let Some(unit) = queue.ready.pop_front() {
+                return Some(unit);
+            }
+            if !wait || queue.open == 0 {
+                return None;
+            }
+            queue = self
+                .sample_ready
+                .wait(queue)
+                .unwrap_or_else(|e| e.into_inner());
+        }
+    }
+
+    /// Routes one `(job, seed)` unit; the worker that finishes a job's
+    /// last routing unit runs the job's back half right away.
+    fn route_unit(&self, unit: usize) {
+        let job = unit / self.seeds;
+        let seed = (unit % self.seeds) as u64;
+
+        let map = self.batch.map_for(job);
+        let result = {
+            let _span = self.rec.span_full("route", job as u64, || {
+                format!("{}#{seed}", self.batch.jobs()[job].name)
+            });
+            self.seed_attempts.incr(1);
+            match &self.noise[job] {
+                Ok(oracle) => route_with_oracle(
+                    &self.batch.jobs()[job].circuit,
+                    map,
+                    oracle.as_ref(),
+                    seed,
+                    RouterOptions::default(),
+                ),
+                Err(e) => Err(e.clone()),
+            }
+        };
+        *self.routed[unit].lock().expect("routing slot poisoned") = Some(result);
+
+        if self.units_left[job].fetch_sub(1, Ordering::AcqRel) == 1 {
+            let _close = self.split_samples.then(|| CloseJob(self));
+            match self.finish_job(job) {
+                Ok((report, items, None)) => (self.sink)(job, report, items),
+                Ok((report, items, Some(check))) => self.publish(job, check, report, items),
+                Err(e) => {
+                    *self.failures[job].lock().expect("failure slot poisoned") = Some(e);
                 }
             }
         }
     }
 
-    /// Best-seed selection, consolidation, scheduling and scoring for one
-    /// fully routed job. Each stage runs under its own span (keyed by the
-    /// job index, labeled by the job name); the spans are sequential, so
-    /// their summed duration is the job's pipeline time — `run_batch`
-    /// rebuilds it from the trace, and the placeholders below stay zero
-    /// until then.
-    fn finish_job(&self, job: usize) -> Result<(CircuitReport, Vec<Item>), TranspileError> {
+    /// Publishes the sample units of a job whose back half has finished
+    /// but for the verdict of its prepared sampled check.
+    fn publish(
+        &self,
+        job: usize,
+        check: PreparedCheck<'a>,
+        report: CircuitReport,
+        items: Vec<Item>,
+    ) {
+        let units = check.units();
+        let sampled = Arc::new(SampledJob {
+            job,
+            check,
+            folding: Mutex::new(Folding {
+                outcomes: (0..units).map(|_| None).collect(),
+                left: units,
+                report: Some((report, items)),
+            }),
+        });
+        self.queue()
+            .ready
+            .extend((0..units).map(|k| (k, Arc::clone(&sampled))));
+        self.sample_ready.notify_all();
+    }
+
+    /// Runs sample `sample` of a job's check. The worker that lands the
+    /// job's last outcome folds the verdict, in sample order, and streams
+    /// the report out.
+    fn run_sample(&self, sample: usize, sampled: &SampledJob<'_>, registers: &mut RegisterPair) {
+        let job = sampled.job;
+        let outcome = {
+            let _span = self.rec.span_full("verify.sample", job as u64, || {
+                format!("{}#{sample}", self.batch.jobs()[job].name)
+            });
+            sampled.check.run_unit(sample, registers)
+        };
+        let (outcomes, done) = {
+            let mut folding = sampled.folding.lock().expect("sample slots poisoned");
+            folding.outcomes[sample] = Some(outcome);
+            folding.left -= 1;
+            if folding.left > 0 {
+                return;
+            }
+            (std::mem::take(&mut folding.outcomes), folding.report.take())
+        };
+        let (mut report, items) = done.expect("a sampled job's report waits for its verdict");
+        let verification = sampled
+            .check
+            .fold(
+                outcomes
+                    .into_iter()
+                    .map(|o| o.expect("every sample has landed")),
+            )
+            .unwrap_or_else(error_verdict);
+        self.count_samples(&verification);
+        report.verification = Some(verification);
+        (self.sink)(job, report, items);
+    }
+
+    /// Adds a Monte-Carlo verdict's samples to `verify.samples`.
+    fn count_samples(&self, verification: &Verification) {
+        if let Verification::Sampled { samples, .. } = verification {
+            self.rec.add("verify.samples", *samples as u64);
+        }
+    }
+
+    /// Best-seed selection, consolidation, verification and scoring for
+    /// one fully routed job. Each stage runs under its own span (keyed by
+    /// the job index, labeled by the job name). A sampled check is only
+    /// prepared here, and its samples run as pool units under
+    /// `verify.sample` spans; `run_batch` sums every span of a job into
+    /// its pipeline time, and the placeholders below stay zero until then.
+    fn finish_job(&self, job: usize) -> Result<FinishedJob<'a>, TranspileError> {
         let spec = &self.batch.jobs()[job];
         let stage = |name| self.rec.span_full(name, job as u64, || spec.name.clone());
         let cal = self.batch.calibration_for(job);
@@ -476,28 +685,31 @@ impl Shared<'_, '_> {
         // input states (still a pure function of the batch, never of the
         // thread count). Oracle errors (an engine invariant broken, not a
         // bad circuit) become a failing `Verification::Error` verdict
-        // rather than aborting the batch — or silently passing.
-        let verification = (self.config.verify != VerifyLevel::Off).then(|| {
+        // rather than aborting the batch — or silently passing. A sampled
+        // check leaves this stage prepared, its verdict still to come.
+        let mut verification = None;
+        let mut pending = None;
+        if self.config.verify != VerifyLevel::Off {
             let _span = stage("verify");
             let cfg = self
                 .config
                 .verify_config()
                 .seed(self.config.verify_seed ^ fnv1a(spec.name.as_bytes()));
-            verify(
-                &spec.circuit,
-                &Physical::Consolidated {
-                    items: &items,
-                    n_qubits: map.n_qubits(),
-                },
-                &best.layout,
-                &cfg,
-            )
-            .unwrap_or_else(|e| Verification::Error {
-                reason: e.to_string(),
-            })
-        });
-        if let Some(Verification::Sampled { samples, .. }) = &verification {
-            self.rec.add("verify.samples", *samples as u64);
+            let physical = Physical::Consolidated {
+                items: &items,
+                n_qubits: map.n_qubits(),
+            };
+            match PreparedCheck::prepare(&spec.circuit, &physical, &best.layout, &cfg) {
+                Ok(check) if check.is_sampled() => pending = Some(check),
+                Ok(check) => {
+                    let outcome = check.run_unit(0, &mut RegisterPair::default());
+                    verification = Some(check.fold([outcome]).unwrap_or_else(error_verdict));
+                }
+                Err(e) => verification = Some(error_verdict(e)),
+            }
+        }
+        if let Some(v) = &verification {
+            self.count_samples(v);
         }
         let result = {
             let _span = stage("schedule");
@@ -521,7 +733,7 @@ impl Shared<'_, '_> {
             route_time: Duration::ZERO,
             pipeline_time: Duration::ZERO,
         };
-        Ok((report, items))
+        Ok((report, items, pending))
     }
 }
 

@@ -29,7 +29,10 @@ pub struct CircuitReport {
     /// Wall time spent routing this circuit, summed over its seeds
     /// (seeds may have run on different workers concurrently).
     pub route_time: Duration,
-    /// Wall time spent consolidating, scheduling and scoring.
+    /// Busy time spent selecting, consolidating, verifying and scoring,
+    /// summed over every worker that ran part of it: a sampled check's
+    /// samples may run on several workers at once, so this can exceed
+    /// the job's elapsed back-half time.
     pub pipeline_time: Duration,
 }
 

@@ -1,7 +1,7 @@
 //! Shape checks for the execution trace every [`run_batch`] carries: one
-//! span per pipeline stage per job, cache and pipeline counters that are
-//! the same on every run, and a Chrome trace-event export that parses
-//! back as balanced B/E pairs.
+//! span per pipeline stage per job (and one per Monte-Carlo sample),
+//! cache and pipeline counters that are the same on every run, and a
+//! Chrome trace-event export that parses back as balanced B/E pairs.
 
 use paradrive_circuit::benchmarks;
 use paradrive_engine::{run_batch, Batch, EngineConfig, EngineReport, VerifyLevel};
@@ -9,6 +9,7 @@ use paradrive_obs::json::{self, Value};
 use paradrive_transpiler::topology::CouplingMap;
 
 const SEEDS: u64 = 3;
+const SAMPLES: u32 = 2;
 
 /// The cached smoke batch at `threads` workers.
 fn run_smoke(threads: usize) -> EngineReport {
@@ -19,7 +20,7 @@ fn run_smoke(threads: usize) -> EngineReport {
         .threads(threads)
         .routing_seeds(SEEDS)
         .verify(VerifyLevel::Sampled)
-        .verify_samples(2);
+        .verify_samples(SAMPLES);
     run_batch(&batch, &config).expect("smoke batch")
 }
 
@@ -61,6 +62,26 @@ fn every_job_gets_every_pipeline_stage_span() {
         .spans
         .iter()
         .any(|s| s.name == "schedule" && s.label == "GHZ"));
+
+    // The sampled check is prepared under the job's one `verify` span and
+    // runs as one `verify.sample` span per sample, labeled by sample.
+    for job in 0..2u64 {
+        let mut labels: Vec<&str> = trace
+            .spans
+            .iter()
+            .filter(|s| s.name == "verify.sample" && s.key == job)
+            .map(|s| s.label.as_str())
+            .collect();
+        labels.sort_unstable();
+        let name = ["GHZ", "QFT"][job as usize];
+        let want: Vec<String> = (0..SAMPLES).map(|k| format!("{name}#{k}")).collect();
+        assert_eq!(labels, want, "job {job}: verify.sample spans");
+    }
+    assert_eq!(
+        trace.counter("verify.samples"),
+        Some(2 * u64::from(SAMPLES)),
+        "every sample of both jobs is counted once"
+    );
 
     // Pipeline counters made it out of the workers.
     assert_eq!(

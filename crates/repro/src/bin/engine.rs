@@ -29,6 +29,9 @@
 //! Positional `NAME`s select benchmarks (case-insensitive: QV, VQE_L, GHZ,
 //! HLF, QFT, Adder, QAOA, VQE_F, Multiplier); with none given the full
 //! Table VII suite runs. `--threads 0` (the default) uses every core.
+//! `--threads` is at most 256, `--seeds` at most 1,024 and
+//! `--verify-samples` at most 1,024; larger values are rejected before
+//! any job runs.
 //!
 //! `--trace FILE` exports the batch's execution trace (per-stage spans,
 //! cache counters, kernel-dispatch counts) as Chrome
@@ -39,7 +42,9 @@
 
 use paradrive_circuit::benchmarks::standard_suite;
 use paradrive_engine::{run_batch, Batch, Costing, EngineConfig, VerifyLevel};
-use paradrive_repro::sweep::parse_calibration;
+use paradrive_repro::sweep::{
+    parse_calibration, parse_count, MAX_ROUTING_SEEDS, MAX_THREADS, MAX_VERIFY_SAMPLES,
+};
 use paradrive_transpiler::topology::CouplingMap;
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -88,14 +93,10 @@ fn parse_args() -> Result<Args, String> {
         let mut value = |flag: &str| it.next().ok_or_else(|| format!("{flag} expects a value"));
         match arg.as_str() {
             "--threads" => {
-                args.threads = value("--threads")?
-                    .parse()
-                    .map_err(|e| format!("--threads: {e}"))?;
+                args.threads = parse_count("--threads", &value("--threads")?, MAX_THREADS)?;
             }
             "--seeds" => {
-                args.seeds = value("--seeds")?
-                    .parse()
-                    .map_err(|e| format!("--seeds: {e}"))?;
+                args.seeds = parse_count("--seeds", &value("--seeds")?, MAX_ROUTING_SEEDS)?;
             }
             "--suite-seed" => {
                 args.suite_seed = value("--suite-seed")?
@@ -117,9 +118,11 @@ fn parse_args() -> Result<Args, String> {
                     .map_err(|e| format!("--verify: {e}"))?;
             }
             "--verify-samples" => {
-                args.verify_samples = value("--verify-samples")?
-                    .parse()
-                    .map_err(|e| format!("--verify-samples: {e}"))?;
+                args.verify_samples = parse_count(
+                    "--verify-samples",
+                    &value("--verify-samples")?,
+                    MAX_VERIFY_SAMPLES,
+                )?;
                 if args.verify_samples == 0 {
                     return Err("--verify-samples must be at least 1".to_string());
                 }
@@ -151,14 +154,15 @@ fn parse_args() -> Result<Args, String> {
             "--trace" => args.trace = Some(value("--trace")?),
             "--timings" => args.timings = true,
             "--help" | "-h" => {
-                return Err(
+                return Err(format!(
                     "usage: engine [--threads N] [--seeds N] [--no-cache] [--synth] \
-                            [--suite-seed N] [--calibration SPEC] [--calibration-seed N] \
-                            [--noise-aware] [--verify off|sampled|mps|exact] [--verify-samples K] \
-                            [--verify-seed N] [--verify-max-bond CHI] [--verify-mps-tol TOL] \
-                            [--trace FILE] [--timings] [NAME ...]"
-                        .to_string(),
-                )
+                     [--suite-seed N] [--calibration SPEC] [--calibration-seed N] \
+                     [--noise-aware] [--verify off|sampled|mps|exact] [--verify-samples K] \
+                     [--verify-seed N] [--verify-max-bond CHI] [--verify-mps-tol TOL] \
+                     [--trace FILE] [--timings] [NAME ...]\n\
+                     limits: --threads at most {MAX_THREADS}, --seeds at most \
+                     {MAX_ROUTING_SEEDS}, --verify-samples 1 to {MAX_VERIFY_SAMPLES}"
+                ))
             }
             flag if flag.starts_with('-') => return Err(format!("unknown flag `{flag}`")),
             name => args.names.push(name.to_string()),

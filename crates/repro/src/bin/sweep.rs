@@ -64,6 +64,9 @@
 //! shard runs' `--trace-jsonl`) into one timeline with `shard<i>.`
 //! counter namespacing, exported via `--trace`/`--trace-jsonl`.
 //!
+//! `--threads` is at most 256 and `--seeds` at most 1,024; larger values
+//! are rejected before any cell runs.
+//!
 //! The report is a pure function of the sweep spec — bit-identical at any
 //! `--threads` setting and any shard split. Wall-clock timings are
 //! printed only with `--timings`, kept apart (together with the cache
@@ -77,8 +80,8 @@
 
 use paradrive_engine::{Costing, RetranspilePolicy, Trace};
 use paradrive_repro::sweep::{
-    merge_reports, read_journal, run_sweep_shard, splice_shard_traces, ShardOptions, SweepOutcome,
-    SweepSpec,
+    merge_reports, parse_count, read_journal, run_sweep_shard, splice_shard_traces, ShardOptions,
+    SweepOutcome, SweepSpec, MAX_ROUTING_SEEDS, MAX_THREADS,
 };
 use std::path::Path;
 use std::process::ExitCode;
@@ -138,14 +141,10 @@ fn parse_args(merge_mode: bool) -> Result<(SweepSpec, Diagnostics, Sharding), St
             "--trace-jsonl" => diag.trace_jsonl = Some(value("--trace-jsonl")?.to_string()),
             "--no-cache" => spec.cache = false,
             "--threads" => {
-                spec.threads = value("--threads")?
-                    .parse()
-                    .map_err(|e| format!("--threads: {e}"))?;
+                spec.threads = parse_count("--threads", value("--threads")?, MAX_THREADS)?;
             }
             "--seeds" => {
-                spec.routing_seeds = value("--seeds")?
-                    .parse()
-                    .map_err(|e| format!("--seeds: {e}"))?;
+                spec.routing_seeds = parse_count("--seeds", value("--seeds")?, MAX_ROUTING_SEEDS)?;
             }
             "--suite-seeds" => {
                 spec.suite_seeds = value("--suite-seeds")?
@@ -384,6 +383,7 @@ fn run_shard(
 fn main() -> ExitCode {
     if std::env::args().any(|a| a == "--help" || a == "-h") {
         println!("{USAGE}");
+        println!("limits: --threads at most {MAX_THREADS}, --seeds at most {MAX_ROUTING_SEEDS}");
         return ExitCode::SUCCESS;
     }
     let merge_mode = std::env::args().nth(1).as_deref() == Some("merge");

@@ -469,9 +469,10 @@ pub struct SweepCell {
     /// Absolute optimized total fidelity `F_T` — per-wire lifetimes and
     /// per-edge gate errors under the cell's calibration.
     pub optimized_ft: f64,
-    /// Per-cell wall time (routing + pipeline) — timing-only, never part
-    /// of the deterministic report (and zero for cells restored from a
-    /// journal rather than executed).
+    /// Per-cell busy time (routing + pipeline), summed over every worker
+    /// that ran part of the cell, so seeds and samples that ran at once
+    /// add up — timing-only, never part of the deterministic report (and
+    /// zero for cells restored from a journal rather than executed).
     pub wall: Duration,
 }
 

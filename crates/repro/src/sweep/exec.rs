@@ -453,8 +453,9 @@ fn run_batch_cells(
         return Err(e);
     }
 
-    // Rebuild per-cell wall time (route + pipeline) from the trace,
-    // which keys every span by job index.
+    // Rebuild per-cell time (route + pipeline) from the trace, which keys
+    // every span by job index: busy time summed over every worker that
+    // ran a piece of the cell, not the cell's elapsed time.
     let mut wall_ns: HashMap<usize, u64> = HashMap::new();
     for s in &summary.trace.spans {
         *wall_ns.entry(s.key as usize).or_default() += s.dur_ns;
@@ -473,7 +474,7 @@ fn run_batch_cells(
     // Relabel engine spans (keyed by job index) with the cell's
     // deterministic label, so a trace opened in Perfetto names cells the
     // same way the timing report does. Route spans keep their per-seed
-    // `#N` suffix.
+    // and sample spans their per-sample `#N` suffix.
     for s in &mut summary.trace.spans {
         if let Some(planned) = pending.get(s.key as usize) {
             let (name, _) = plan.benchmark(planned);
@@ -485,7 +486,9 @@ fn run_batch_cells(
                 plan.suite_seed(planned)
             );
             s.label = match s.label.rsplit_once('#') {
-                Some((_, seed)) if s.name == "route" => format!("{cell}#{seed}"),
+                Some((_, n)) if s.name == "route" || s.name == "verify.sample" => {
+                    format!("{cell}#{n}")
+                }
                 _ => cell,
             };
         }

@@ -73,14 +73,15 @@ pub use rollup::{
     TopologySummary,
 };
 pub use spec::{
-    parse_calibration, parse_drift, parse_topology, CalibrationParseError, DriftParseError,
-    DriftScenario, SweepError, SweepSpec, TopologyParseError, MAX_TOPOLOGY_QUBITS,
+    parse_calibration, parse_count, parse_drift, parse_topology, CalibrationParseError,
+    DriftParseError, DriftScenario, SweepError, SweepSpec, TopologyParseError, MAX_ROUTING_SEEDS,
+    MAX_THREADS, MAX_TOPOLOGY_QUBITS, MAX_VERIFY_SAMPLES,
 };
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use paradrive_engine::VerifyLevel;
+    use paradrive_engine::{EngineConfig, VerifyLevel};
 
     #[test]
     fn calibrated_cells_report_scenario_and_fidelity() {
@@ -243,6 +244,29 @@ mod tests {
             .spans
             .iter()
             .any(|s| s.name == "route" && s.label.ends_with("#1")));
+        // Each cell's sampled check runs as one `verify.sample` span per
+        // Monte-Carlo sample, cell-labeled with the sample's suffix.
+        let samples = EngineConfig::default().verify_samples as usize;
+        let sample_spans: Vec<_> = trace
+            .spans
+            .iter()
+            .filter(|s| s.name == "verify.sample")
+            .collect();
+        assert_eq!(sample_spans.len(), 2 * samples, "verify.sample span count");
+        for k in 0..samples {
+            let suffix = format!("#{k}");
+            let with_k: Vec<_> = sample_spans
+                .iter()
+                .filter(|s| s.label.ends_with(&suffix))
+                .collect();
+            assert_eq!(with_k.len(), 2, "sample {k}: one span per cell");
+            assert!(
+                with_k
+                    .iter()
+                    .all(|s| s.label.starts_with("grid4x4/uniform/")),
+                "sample spans not cell-labeled: {with_k:?}"
+            );
+        }
         // Cache counters and pipeline counters rode along.
         assert!(trace.counter("cache.baseline.hits").is_some());
         assert_eq!(trace.counter("route.seed_attempts"), Some(4));

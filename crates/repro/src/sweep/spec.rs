@@ -114,6 +114,40 @@ impl SweepSpec {
 /// largest zoo topology, `heavyhex6`, has 81 qubits.
 pub const MAX_TOPOLOGY_QUBITS: usize = 4096;
 
+/// The most worker threads `engine --threads` and `sweep --threads`
+/// accept. Every one is an OS thread the engine spawns per batch.
+pub const MAX_THREADS: usize = 256;
+
+/// The most best-of-N routing seeds per circuit `engine --seeds` and
+/// `sweep --seeds` accept. Every seed is a routing unit with its own
+/// result slot.
+pub const MAX_ROUTING_SEEDS: u64 = 1024;
+
+/// The most Monte-Carlo verification samples per circuit `engine
+/// --verify-samples` accepts. Every sample is a pool unit with its own
+/// outcome slot.
+pub const MAX_VERIFY_SAMPLES: u32 = 1024;
+
+/// Parses the value of a count flag such as `--threads`, rejecting
+/// anything above `max` (one of [`MAX_THREADS`], [`MAX_ROUTING_SEEDS`],
+/// [`MAX_VERIFY_SAMPLES`]) before any work is sized by it.
+///
+/// # Errors
+///
+/// A message naming `flag`: the parse error, or the maximum the value
+/// exceeds.
+pub fn parse_count<T>(flag: &str, value: &str, max: T) -> Result<T, String>
+where
+    T: std::str::FromStr + PartialOrd + std::fmt::Display,
+    T::Err: std::fmt::Display,
+{
+    let n: T = value.parse().map_err(|e| format!("{flag}: {e}"))?;
+    if n > max {
+        return Err(format!("{flag} must be at most {max}, not {n}"));
+    }
+    Ok(n)
+}
+
 /// A rejected topology spec, with the reason classified.
 ///
 /// Every variant carries the offending input verbatim so batch callers
@@ -617,6 +651,32 @@ impl From<EngineError> for SweepError {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn counts_above_their_maxima_are_rejected_with_the_flag_named() {
+        assert_eq!(parse_count("--threads", "256", MAX_THREADS), Ok(256));
+        assert_eq!(parse_count("--seeds", "0", MAX_ROUTING_SEEDS), Ok(0));
+        assert_eq!(
+            parse_count("--verify-samples", "1024", MAX_VERIFY_SAMPLES),
+            Ok(1024)
+        );
+        assert_eq!(
+            parse_count("--threads", "257", MAX_THREADS).unwrap_err(),
+            "--threads must be at most 256, not 257"
+        );
+        assert_eq!(
+            parse_count("--seeds", "100000", MAX_ROUTING_SEEDS).unwrap_err(),
+            "--seeds must be at most 1024, not 100000"
+        );
+        assert_eq!(
+            parse_count("--verify-samples", "1025", MAX_VERIFY_SAMPLES).unwrap_err(),
+            "--verify-samples must be at most 1024, not 1025"
+        );
+        for bad in ["-1", "1e3", "", "99999999999999999999999"] {
+            let err = parse_count("--seeds", bad, MAX_ROUTING_SEEDS).unwrap_err();
+            assert!(err.starts_with("--seeds: "), "{bad}: {err}");
+        }
+    }
 
     #[test]
     fn topology_grammar_round_trips() {

@@ -1,8 +1,11 @@
-//! The `engine` CLI rejects malformed verification flags at parse time:
-//! the process fails before any job runs, names the flag on stderr and
-//! prints no report.
+//! The `engine` CLI rejects malformed verification flags, and both the
+//! `engine` and `sweep` CLIs reject counts above their documented maxima,
+//! at parse time: the process fails before any job runs (so no test here
+//! sizes work by a large value), names the flag on stderr and prints no
+//! report.
 
-use std::process::Command;
+use paradrive_repro::sweep::{MAX_ROUTING_SEEDS, MAX_THREADS, MAX_VERIFY_SAMPLES};
+use std::process::{Command, Output};
 
 /// Runs `engine` on GHZ with `args` and asserts the flag was rejected.
 fn assert_rejected(args: &[&str], flag: &str) {
@@ -12,6 +15,11 @@ fn assert_rejected(args: &[&str], flag: &str) {
         .arg("GHZ")
         .output()
         .expect("engine launches");
+    assert_output_rejected(&out, args, flag);
+}
+
+/// Asserts a CLI run failed before printing a report, naming `flag`.
+fn assert_output_rejected(out: &Output, args: &[&str], flag: &str) {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(
         !out.status.success(),
@@ -52,4 +60,34 @@ fn a_zero_bond_cap_is_rejected() {
         &["--verify", "mps", "--verify-max-bond", "0"],
         "--verify-max-bond",
     );
+}
+
+#[test]
+fn engine_counts_above_their_maxima_are_rejected() {
+    for (flag, max) in [
+        ("--threads", MAX_THREADS as u64),
+        ("--seeds", MAX_ROUTING_SEEDS),
+        ("--verify-samples", u64::from(MAX_VERIFY_SAMPLES)),
+    ] {
+        for value in [max + 1, 100_000] {
+            let value = value.to_string();
+            assert_rejected(&["--verify", "sampled", flag, &value], flag);
+        }
+    }
+}
+
+#[test]
+fn sweep_counts_above_their_maxima_are_rejected() {
+    for (flag, max) in [
+        ("--threads", MAX_THREADS as u64),
+        ("--seeds", MAX_ROUTING_SEEDS),
+    ] {
+        let value = (max + 1).to_string();
+        let args = ["--smoke", "--benchmarks", "GHZ", flag, &value];
+        let out = Command::new(env!("CARGO_BIN_EXE_sweep"))
+            .args(args)
+            .output()
+            .expect("sweep launches");
+        assert_output_rejected(&out, &args, flag);
+    }
 }

@@ -39,7 +39,7 @@ mod state;
 pub use density::Density;
 pub use kernels::{lanes_available, KernelPath};
 pub use mps::{MpsOptions, MpsState};
-pub use state::{circuit_unitary, heavy_output_probability, State, MAX_STATE_QUBITS};
+pub use state::{circuit_unitary, heavy_output_probability, PermutedRead, State, MAX_STATE_QUBITS};
 
 /// Errors produced by the simulator.
 #[derive(Debug, Clone, PartialEq)]

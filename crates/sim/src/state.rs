@@ -307,44 +307,21 @@ impl State {
     /// pattern sits at position `l` again.
     ///
     /// The shuffle runs through the state-owned scratch buffer, so after
-    /// the first call on a given register this allocates nothing — the
-    /// verify oracles permute once per column/sample and rely on that.
+    /// the first call on a given register this allocates nothing.
     /// Destination indices come from per-byte deposit tables on the stack
     /// (one 256-word table per index byte), so each amplitude costs one
-    /// table lookup rather than a loop over the qubits.
+    /// table lookup rather than a loop over the qubits. To read a few
+    /// amplitudes of the relabeled state without moving the rest, use
+    /// [`State::permuted_read`].
     ///
     /// # Errors
     ///
     /// Returns [`SimError::BadPermutation`] if `perm` is not a permutation
     /// of `0..n`; the state is untouched on error.
     pub fn permute(&mut self, perm: &[usize]) -> Result<(), SimError> {
-        if perm.len() != self.n {
-            return Err(SimError::BadPermutation);
-        }
-        // Duplicate/range check on a bitmask — no allocation (n ≤ 63 for
-        // any state that fits in memory).
-        let mut seen = 0u64;
-        for &p in perm {
-            if p >= self.n || seen >> p & 1 == 1 {
-                return Err(SimError::BadPermutation);
-            }
-            seen |= 1 << p;
-        }
-        // Four index bytes cover every register that fits in memory
-        // (2^33 amplitudes would take 128 GiB).
-        assert!(self.n <= 32, "permute supports at most 32 qubits");
         // Index bit `n-1-perm[l]` (physical position perm[l]) moves to
-        // bit `n-1-l`; `table[k][v]` deposits every set bit of byte k.
-        let mut dest = [0usize; 32];
-        for (l, &p) in perm.iter().enumerate() {
-            dest[self.n - 1 - p] = 1 << (self.n - 1 - l);
-        }
-        let mut table = [[0usize; 256]; 4];
-        for (k, t) in table.iter_mut().enumerate().take(self.n.div_ceil(8)) {
-            for v in 1..256usize {
-                t[v] = t[v & (v - 1)] | dest[8 * k + v.trailing_zeros() as usize];
-            }
-        }
+        // bit `n-1-l`.
+        let table = relabel_tables(self.n, perm, |l, p| (p, l))?;
         if self.scratch.len() != self.amps.len() {
             self.scratch.resize(self.amps.len(), C64::ZERO);
         }
@@ -356,6 +333,27 @@ impl State {
         }
         std::mem::swap(&mut self.amps, &mut self.scratch);
         Ok(())
+    }
+
+    /// A read-only view of this register as [`State::permute`]`(perm)`
+    /// would leave it, without moving any amplitude: index `i` of the view
+    /// reads the amplitude `permute` deposits at `i`, bit for bit.
+    ///
+    /// Each read inverts `permute`'s per-byte deposit with the same kind
+    /// of stack tables, so the view allocates nothing and costs one
+    /// lookup per read. The verify oracles read their overlaps through
+    /// it, which touches only the amplitudes they project onto.
+    ///
+    /// # Errors
+    ///
+    /// As [`State::permute`].
+    pub fn permuted_read(&self, perm: &[usize]) -> Result<PermutedRead<'_>, SimError> {
+        // The inverse of `permute`'s deposit: bit `n-1-l` of a relabeled
+        // index comes from bit `n-1-perm[l]` of the register's index.
+        Ok(PermutedRead {
+            amps: &self.amps,
+            table: relabel_tables(self.n, perm, |l, p| (l, p))?,
+        })
     }
 
     /// Like [`State::permute`], but returns the relabelled state and
@@ -441,6 +439,70 @@ impl State {
             self.amps[y << anc_bits] = a;
         }
         Ok(())
+    }
+}
+
+/// Per-byte bit-deposit tables of a qubit relabeling over `n` qubits:
+/// `table[k][v]` is the index bits that byte `k` of an index holding value
+/// `v` deposits. `bits(l, p)` names, for each `perm[l] = p`, which qubit
+/// position's index bit moves to which: `(from, to)`.
+///
+/// `State::permute` and `State::permuted_read` both build their tables
+/// here, one deposit and its inverse.
+fn relabel_tables(
+    n: usize,
+    perm: &[usize],
+    bits: impl Fn(usize, usize) -> (usize, usize),
+) -> Result<[[usize; 256]; 4], SimError> {
+    if perm.len() != n {
+        return Err(SimError::BadPermutation);
+    }
+    // Duplicate/range check on a bitmask — no allocation (n ≤ 63 for any
+    // state that fits in memory).
+    let mut seen = 0u64;
+    for &p in perm {
+        if p >= n || seen >> p & 1 == 1 {
+            return Err(SimError::BadPermutation);
+        }
+        seen |= 1 << p;
+    }
+    // Four index bytes cover every register that fits in memory (2^33
+    // amplitudes would take 128 GiB).
+    assert!(n <= 32, "relabeling supports at most 32 qubits");
+    let mut dest = [0usize; 32];
+    for (l, &p) in perm.iter().enumerate() {
+        let (from, to) = bits(l, p);
+        dest[n - 1 - from] = 1 << (n - 1 - to);
+    }
+    let mut table = [[0usize; 256]; 4];
+    for (k, t) in table.iter_mut().enumerate().take(n.div_ceil(8)) {
+        for v in 1..256usize {
+            t[v] = t[v & (v - 1)] | dest[8 * k + v.trailing_zeros() as usize];
+        }
+    }
+    Ok(table)
+}
+
+/// A register read through a qubit relabeling, from
+/// [`State::permuted_read`].
+#[derive(Debug)]
+pub struct PermutedRead<'a> {
+    amps: &'a [C64],
+    table: [[usize; 256]; 4],
+}
+
+impl PermutedRead<'_> {
+    /// The amplitude at index `i` of the relabeled state.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is outside the register.
+    #[inline]
+    pub fn get(&self, i: usize) -> C64 {
+        assert!(i < self.amps.len(), "index {i} outside the register");
+        let t = &self.table;
+        self.amps
+            [t[0][i & 0xff] | t[1][i >> 8 & 0xff] | t[2][i >> 16 & 0xff] | t[3][i >> 24 & 0xff]]
     }
 }
 
@@ -661,6 +723,43 @@ mod tests {
                 assert_eq!(st.amplitudes(), &want[..], "n={n} perm={perm:?}");
             }
         }
+    }
+
+    #[test]
+    fn permuted_read_matches_permute_bit_for_bit() {
+        // Every width from 1 to 12 qubits, a seeded shuffle each, and
+        // 0–3 trailing ancilla wires read as the oracles read them:
+        // index `(y << anc) | a`.
+        let mut rng = StdRng::seed_from_u64(11);
+        for n in 1usize..=12 {
+            let amps: Vec<C64> = (0..1usize << n)
+                .map(|_| C64::new(rng.gen_range(-1.0..1.0), rng.gen_range(-1.0..1.0)))
+                .collect();
+            let mut perm: Vec<usize> = (0..n).collect();
+            for i in (1..n).rev() {
+                perm.swap(i, rng.gen_range(0..=i));
+            }
+            let st = State::from_amplitudes(amps);
+            let moved = st.permuted(&perm).unwrap();
+            let read = st.permuted_read(&perm).unwrap();
+            for anc in 0..=3.min(n) {
+                for y in 0..1usize << (n - anc) {
+                    for a in 0..1usize << anc {
+                        let i = y << anc | a;
+                        let (got, want) = (read.get(i), moved.amplitudes()[i]);
+                        assert_eq!(
+                            (got.re.to_bits(), got.im.to_bits()),
+                            (want.re.to_bits(), want.im.to_bits()),
+                            "n={n} anc={anc} perm={perm:?} index {i}"
+                        );
+                    }
+                }
+            }
+        }
+        assert_eq!(
+            State::zero(2).permuted_read(&[1, 1]).unwrap_err(),
+            SimError::BadPermutation
+        );
     }
 
     #[test]

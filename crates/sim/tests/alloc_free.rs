@@ -102,6 +102,30 @@ fn warm_gate_permute_and_reset_paths_never_allocate() {
     });
     assert_eq!(count, 0, "reset paths allocated");
 
+    // One warm Monte-Carlo verification sample, as the sampled oracle
+    // runs it: prepare both registers, replay, then take the overlap
+    // through the output permutation without moving the physical state.
+    let anc_bits = 2;
+    let count = allocations(|| {
+        logical.reset_product(&factors).unwrap();
+        wide.reset_embed(&logical).unwrap();
+        for q in 0..n - 2 {
+            logical.apply_1q(&h, q).unwrap();
+            wide.apply_1q(&h, q).unwrap();
+        }
+        for a in 0..n - 1 {
+            wide.apply_2q(&cx, a, a + 1).unwrap();
+            wide.apply_2q(&real_block, a + 1, a).unwrap();
+        }
+        let read = wide.permuted_read(&perm).unwrap();
+        let mut ip = C64::ZERO;
+        for (y, &w) in logical.amplitudes().iter().enumerate() {
+            ip += w.conj() * read.get(y << anc_bits);
+        }
+        std::hint::black_box(ip);
+    });
+    assert_eq!(count, 0, "a warm verification sample allocated");
+
     // The linalg mul_vec_into satellite: the replay-loop form of the
     // matrix-vector product works entirely in caller buffers.
     let v = vec![C64::ONE, C64::ZERO];

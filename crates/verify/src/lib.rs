@@ -36,6 +36,13 @@
 //! where the certified bound would be too weak to mean anything); `Mps`
 //! starts at the MPS rung of the same ladder.
 //!
+//! A check can also be prepared once and run unit by unit
+//! ([`PreparedCheck`]): one unit per Monte-Carlo sample at the sampled
+//! rung, one unit otherwise, each in a reusable [`RegisterPair`], so a
+//! worker pool can spread one circuit's samples across threads.
+//! [`verify`] is that split run sequentially, and the folded verdict is
+//! the same bit for bit in any unit order.
+//!
 //! The physical side can be a routed [`Circuit`] or its consolidated
 //! [`Item`](paradrive_transpiler::consolidate::Item) stream — in the latter
 //! case every consolidated two-qubit block is applied as a single fused
@@ -84,13 +91,15 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod check;
 mod oracle;
 mod physical;
 
+pub use check::{PreparedCheck, RegisterPair, UnitOutcome};
 pub use physical::Physical;
 
 use paradrive_circuit::Circuit;
-use paradrive_sim::{SimError, MAX_STATE_QUBITS};
+use paradrive_sim::SimError;
 use std::fmt;
 
 /// How much verification a pipeline run performs.
@@ -450,59 +459,16 @@ impl From<SimError> for VerifyError {
 /// Returns [`VerifyError`] only for malformed inputs (bad layout, logical
 /// circuit wider than the device) — a failed equivalence is a
 /// [`Verification`] verdict, not an error.
+///
+/// This is [`PreparedCheck`] run sequentially: prepare, run every unit in
+/// order on one [`RegisterPair`], fold.
 pub fn verify(
     original: &Circuit,
     physical: &Physical<'_>,
     layout: &[usize],
     config: &VerifyConfig,
 ) -> Result<Verification, VerifyError> {
-    if config.level == VerifyLevel::Off {
-        return Ok(Verification::Skipped {
-            reason: "verification off".to_string(),
-        });
-    }
-    let prog = physical::compact(original, physical, layout)?;
-    let sampled_or_skip = |prog: &physical::CompactProgram| {
-        if prog.width <= MAX_STATE_QUBITS {
-            oracle::sampled(
-                original,
-                prog,
-                config.samples,
-                config.seed,
-                config.tolerance.sampled_infidelity,
-            )
-        } else {
-            Ok(Verification::Skipped {
-                reason: format!(
-                    "support width {} exceeds the statevector limit {}",
-                    prog.width, MAX_STATE_QUBITS
-                ),
-            })
-        }
-    };
-    // The MPS rung of the ladder: run the overlap oracle; if the state
-    // is too entangled for the bond cap (truncation budget exhausted at
-    // MPS_DISCARD_CAP), escalate to the Monte-Carlo oracle rather than
-    // report a vacuously wide certificate.
-    let mps_or_escalate = |prog: &physical::CompactProgram| match oracle::mps(
-        original,
-        prog,
-        config.max_bond,
-        config.mps_tol,
-    ) {
-        Err(VerifyError::Sim(SimError::TruncationBudgetExceeded { .. })) => sampled_or_skip(prog),
-        other => other,
-    };
-    match config.level {
-        VerifyLevel::Off => unreachable!("handled above"),
-        VerifyLevel::Sampled => sampled_or_skip(&prog),
-        VerifyLevel::Mps => mps_or_escalate(&prog),
-        VerifyLevel::Exact => {
-            if prog.width <= config.max_exact_qubits {
-                oracle::exact(original, &prog, config.tolerance.exact_infidelity)
-            } else {
-                mps_or_escalate(&prog)
-            }
-        }
-    }
+    let check = PreparedCheck::prepare(original, physical, layout, config)?;
+    let mut registers = RegisterPair::default();
+    check.fold((0..check.units()).map(|unit| check.run_unit(unit, &mut registers)))
 }

@@ -1,5 +1,6 @@
 //! The equivalence oracles, operating on a compacted physical program.
 
+use crate::check::RegisterPair;
 use crate::physical::CompactProgram;
 use crate::{Verification, VerifyError, MPS_DISCARD_CAP};
 use paradrive_circuit::{Circuit, Op};
@@ -17,8 +18,9 @@ use std::f64::consts::{PI, TAU};
 /// `|tr(W† P U)|² / d²`, which is 1 exactly when that holds. The trace is
 /// accumulated column by column — each basis column of `U_physical` is one
 /// statevector run (the same construction as
-/// [`circuit_unitary`]), permuted, and projected onto the
-/// matching column of `W`, so the full `d × d` product is never formed.
+/// [`circuit_unitary`]), read through the output permutation, and
+/// projected onto the matching column of `W`, so the full `d × d` product
+/// is never formed.
 pub(crate) fn exact(
     original: &Circuit,
     prog: &CompactProgram,
@@ -31,19 +33,18 @@ pub(crate) fn exact(
     let anc_mask = (1usize << anc_bits) - 1;
     let dl = 1usize << prog.n_logical;
     let mut tr = C64::ZERO;
-    // One register reused across all columns: after the first column's
-    // permute warms the scratch buffer, the whole sweep is allocation-free.
+    // One register reused across all columns, read in place through the
+    // permutation: the whole sweep is allocation-free.
     let mut st = State::zero(s);
     for col in 0..d {
         st.reset_basis(col);
         prog.apply_to(&mut st)?;
-        st.permute(&prog.perm)?;
-        let va = st.amplitudes();
+        let va = st.permuted_read(&prog.perm)?;
         // Column `col = (x, anc)` of W is (U_orig e_x) ⊗ e_anc.
         let x = col >> anc_bits;
         let anc = col & anc_mask;
         for y in 0..dl {
-            tr += u_orig[(y, x)].conj() * va[(y << anc_bits) | anc];
+            tr += u_orig[(y, x)].conj() * va.get((y << anc_bits) | anc);
         }
     }
     let fidelity = tr.norm_sqr() / (d as f64 * d as f64);
@@ -120,67 +121,55 @@ pub(crate) fn mps(
     })
 }
 
-/// The seeded Monte-Carlo oracle: `samples` random product states through
-/// both programs, compared under the output permutation with every
-/// ancilla required back in `|0⟩`.
-pub(crate) fn sampled(
+/// One sample of the seeded Monte-Carlo oracle: random product state
+/// number `k` through both programs, compared under the output
+/// permutation with every ancilla required back in `|0⟩`. Returns the
+/// sample's state fidelity.
+///
+/// The physical register is read through the permutation in place
+/// ([`State::permuted_read`]), so nothing is moved after the replay. On
+/// warm registers the sample allocates nothing but the 2×2 `u3` gate
+/// matrices.
+pub(crate) fn sample(
     original: &Circuit,
     prog: &CompactProgram,
-    samples: u32,
+    k: usize,
     seed: u64,
-    max_infidelity: f64,
-) -> Result<Verification, VerifyError> {
+    registers: &mut RegisterPair,
+) -> Result<f64, VerifyError> {
     let n_log = prog.n_logical;
     let anc_bits = prog.width - n_log;
-    let samples = samples.max(1);
-    let mut min_fidelity = f64::INFINITY;
-    // Buffers reused across every sample: the per-qubit preparation
-    // columns and the two registers. After the first sample's permute
-    // warms the scratch buffer, the Monte-Carlo loop is allocation-free
-    // up to the 2×2 `u3` gate construction.
+    let (factors, orig, phys) = registers.ready(n_log, prog.width);
+    // One deterministic stream per (seed, sample); the golden-ratio
+    // stride decorrelates neighbouring sample seeds.
+    let mut rng =
+        StdRng::seed_from_u64(seed.wrapping_add((k as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)));
+    // Each qubit's prepared single-qubit vector is u3·|0⟩ — the matrix's
+    // first column, extracted without a fresh allocation.
     let e0 = [C64::ONE, C64::ZERO];
-    let mut factors = vec![C64::ZERO; 2 * n_log];
-    let mut orig = State::zero(n_log);
-    let mut phys = State::zero(prog.width);
-    for k in 0..samples {
-        // One deterministic stream per (seed, sample); the golden-ratio
-        // stride decorrelates neighbouring sample seeds.
-        let mut rng = StdRng::seed_from_u64(
-            seed.wrapping_add((k as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)),
+    for q in 0..n_log {
+        let g = paulis::u3(
+            rng.gen_range(0.0..PI),
+            rng.gen_range(0.0..TAU),
+            rng.gen_range(0.0..TAU),
         );
-        // Each qubit's prepared single-qubit vector is u3·|0⟩ — the
-        // matrix's first column, extracted without a fresh allocation.
-        for q in 0..n_log {
-            let g = paulis::u3(
-                rng.gen_range(0.0..PI),
-                rng.gen_range(0.0..TAU),
-                rng.gen_range(0.0..TAU),
-            );
-            g.mul_vec_into(&e0, &mut factors[2 * q..2 * q + 2]);
-        }
-
-        // The router's initial layout is trivial, so the same product
-        // state enters on compact wires 0..n_log (ancillas stay |0⟩).
-        orig.reset_product(&factors)?;
-        phys.reset_embed(&orig)?;
-        orig.apply_circuit(original)?;
-        prog.apply_to(&mut phys)?;
-        phys.permute(&prog.perm)?;
-
-        // ⟨original ⊗ 0…0 | permuted physical⟩.
-        let pa = phys.amplitudes();
-        let mut ip = C64::ZERO;
-        for (y, &w) in orig.amplitudes().iter().enumerate() {
-            ip += w.conj() * pa[y << anc_bits];
-        }
-        min_fidelity = min_fidelity.min(ip.norm_sqr());
+        g.mul_vec_into(&e0, &mut factors[2 * q..2 * q + 2]);
     }
-    Ok(Verification::Sampled {
-        min_fidelity,
-        samples: samples as usize,
-        width: prog.width,
-        passed: 1.0 - min_fidelity <= max_infidelity,
-    })
+
+    // The router's initial layout is trivial, so the same product state
+    // enters on compact wires 0..n_log (ancillas stay |0⟩).
+    orig.reset_product(factors)?;
+    phys.reset_embed(orig)?;
+    orig.apply_circuit(original)?;
+    prog.apply_to(phys)?;
+
+    // ⟨original ⊗ 0…0 | permuted physical⟩.
+    let pa = phys.permuted_read(&prog.perm)?;
+    let mut ip = C64::ZERO;
+    for (y, &w) in orig.amplitudes().iter().enumerate() {
+        ip += w.conj() * pa.get(y << anc_bits);
+    }
+    Ok(ip.norm_sqr())
 }
 
 #[cfg(test)]

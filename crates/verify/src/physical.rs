@@ -92,6 +92,7 @@ impl Physical<'_> {
 }
 
 /// One matrix application over compact indices.
+#[derive(Debug)]
 pub(crate) enum GateApp {
     /// A 2×2 on one wire.
     One { g: CMat, q: usize },
@@ -103,7 +104,9 @@ pub(crate) enum GateApp {
 /// wires plus every qubit an operation touches, closed under the output
 /// permutation. Compact wires `0..n_logical` are exactly the logical
 /// wires (the router's initial layout is trivial), so the original
-/// circuit needs no remapping.
+/// circuit needs no remapping. The default is the empty program on no
+/// wires.
+#[derive(Debug, Default)]
 pub(crate) struct CompactProgram {
     /// Support width (`n_logical ≤ width ≤ n_physical`).
     pub width: usize,

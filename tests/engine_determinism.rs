@@ -8,7 +8,7 @@
 use paradrive::circuit::benchmarks;
 use paradrive::core::flow::{evaluate_with_calibration, BenchmarkResult};
 use paradrive::core::rules::{BaselineSqrtIswap, ParallelDriveRules};
-use paradrive::engine::{run_batch, Batch, EngineConfig, EngineReport, Job};
+use paradrive::engine::{run_batch, Batch, EngineConfig, EngineReport, Job, VerifyLevel};
 use paradrive::transpiler::consolidate::consolidate;
 use paradrive::transpiler::fidelity::FidelityModel;
 use paradrive::transpiler::routing::route_best_of;
@@ -169,5 +169,48 @@ fn engine_is_deterministic_across_threads_and_cache() {
             "{}",
             job.name
         );
+    }
+}
+
+#[test]
+fn sampled_verdicts_are_identical_at_any_thread_count() {
+    // Sample units run on whichever worker takes them and the verdict
+    // folds them in sample order, so every fidelity keeps its bits. Two
+    // shapes: a 16-qubit pair at best-of-2, and one job at one routing
+    // seed whose three samples are the pool's only parallel work.
+    let mut pair = Batch::new(CouplingMap::grid(4, 4));
+    pair.push("GHZ", benchmarks::ghz(16));
+    pair.push("VQE_L", benchmarks::vqe_linear(16, 2, 3));
+    let mut single = Batch::new(CouplingMap::grid(3, 3));
+    single.push("QAOA", benchmarks::qaoa(8, 2, 7));
+    for (batch, seeds, samples) in [(&pair, 2, 2u32), (&single, 1, 3)] {
+        let config = EngineConfig::default()
+            .routing_seeds(seeds)
+            .keep_routed(true)
+            .verify(VerifyLevel::Sampled)
+            .verify_samples(samples);
+        let one = run_batch(batch, &config.threads(1)).unwrap();
+        for threads in [2, 4] {
+            let many = run_batch(batch, &config.threads(threads)).unwrap();
+            assert_eq!(many.threads, threads, "sample units count as units");
+            assert_reports_identical(&one, &many);
+            for (x, y) in one.circuits.iter().zip(&many.circuits) {
+                let v = x.verification.as_ref().expect("verification on");
+                let w = y.verification.as_ref().expect("verification on");
+                assert_eq!(v, w, "{} at {threads} threads", x.result.name);
+                assert_eq!(
+                    v.fidelity().unwrap().to_bits(),
+                    w.fidelity().unwrap().to_bits(),
+                    "{} at {threads} threads",
+                    x.result.name
+                );
+                assert_eq!(v.method(), "sampled", "{v}");
+                assert!(!v.failed(), "{v}");
+            }
+            assert_eq!(
+                many.trace.counter("verify.samples"),
+                Some(batch.len() as u64 * u64::from(samples))
+            );
+        }
     }
 }
