@@ -304,46 +304,44 @@ pub struct Benchmark {
     pub circuit: Circuit,
 }
 
+/// A named benchmark generator: the suite name and the circuit it builds
+/// from a suite seed.
+type Generator = (&'static str, fn(u64) -> Circuit);
+
+/// Every named benchmark, in suite order: the paper's Table VII suite at
+/// 16 qubits (the first [`STANDARD`] entries), then the wide family. The
+/// suites and [`by_name`] all read this one table.
+const GENERATORS: [Generator; 11] = [
+    ("QV", |seed| quantum_volume(16, 16, seed)),
+    ("VQE_L", |seed| vqe_linear(16, 1, seed)),
+    ("GHZ", |_| ghz(16)),
+    ("HLF", |seed| hidden_linear_function(16, seed)),
+    ("QFT", |_| qft(16)),
+    ("Adder", |_| adder(7)),
+    ("QAOA", |seed| qaoa(16, 2, seed)),
+    ("VQE_F", |seed| vqe_full(16, 2, seed)),
+    ("Multiplier", |_| multiplier(4)),
+    ("QFT_64", |_| qft(64)),
+    ("QAOA_LR", |seed| long_range_qaoa(64, 1, seed)),
+];
+
+/// How many of [`GENERATORS`] make up the standard suite.
+const STANDARD: usize = 9;
+
+/// Builds every benchmark of `generators` at suite seed `seed`.
+fn suite(generators: &[Generator], seed: u64) -> Vec<Benchmark> {
+    generators
+        .iter()
+        .map(|&(name, build)| Benchmark {
+            name,
+            circuit: build(seed),
+        })
+        .collect()
+}
+
 /// The paper's Table VII workload suite at 16 qubits.
 pub fn standard_suite(seed: u64) -> Vec<Benchmark> {
-    vec![
-        Benchmark {
-            name: "QV",
-            circuit: quantum_volume(16, 16, seed),
-        },
-        Benchmark {
-            name: "VQE_L",
-            circuit: vqe_linear(16, 1, seed),
-        },
-        Benchmark {
-            name: "GHZ",
-            circuit: ghz(16),
-        },
-        Benchmark {
-            name: "HLF",
-            circuit: hidden_linear_function(16, seed),
-        },
-        Benchmark {
-            name: "QFT",
-            circuit: qft(16),
-        },
-        Benchmark {
-            name: "Adder",
-            circuit: adder(7),
-        },
-        Benchmark {
-            name: "QAOA",
-            circuit: qaoa(16, 2, seed),
-        },
-        Benchmark {
-            name: "VQE_F",
-            circuit: vqe_full(16, 2, seed),
-        },
-        Benchmark {
-            name: "Multiplier",
-            circuit: multiplier(4),
-        },
-    ]
+    suite(&GENERATORS[..STANDARD], seed)
 }
 
 /// The wide-circuit family: 64-qubit workloads far beyond the dense
@@ -352,16 +350,26 @@ pub fn standard_suite(seed: u64) -> Vec<Benchmark> {
 /// routed; `QAOA_LR` forces long-range entangling gates across the whole
 /// register.
 pub fn wide_suite(seed: u64) -> Vec<Benchmark> {
-    vec![
-        Benchmark {
-            name: "QFT_64",
-            circuit: qft(64),
-        },
-        Benchmark {
-            name: "QAOA_LR",
-            circuit: long_range_qaoa(64, 1, seed),
-        },
-    ]
+    suite(&GENERATORS[STANDARD..], seed)
+}
+
+/// Every name [`by_name`] knows: the standard suite's, then the wide
+/// family's, in suite order.
+pub fn names() -> impl Iterator<Item = &'static str> {
+    GENERATORS.iter().map(|&(name, _)| name)
+}
+
+/// The benchmark named `name` (ASCII case-insensitive) at suite seed
+/// `seed`, exactly the circuit its suite builds at that seed, built
+/// alone; `None` for a name [`names`] does not list.
+pub fn by_name(name: &str, seed: u64) -> Option<Benchmark> {
+    GENERATORS
+        .iter()
+        .find(|(known, _)| known.eq_ignore_ascii_case(name))
+        .map(|&(name, build)| Benchmark {
+            name,
+            circuit: build(seed),
+        })
 }
 
 #[cfg(test)]
@@ -449,6 +457,32 @@ mod tests {
         };
         assert!(count("Multiplier") > count("QFT"));
         assert!(count("VQE_F") > count("VQE_L"));
+    }
+
+    /// Each name builds, alone, exactly the circuit its suite builds (the
+    /// debug form shows every angle's exact digits and the sign of every
+    /// zero), whatever the name's case.
+    #[test]
+    fn by_name_builds_exactly_the_suite_circuit() {
+        for seed in [7, 11] {
+            let suites: Vec<Benchmark> = standard_suite(seed)
+                .into_iter()
+                .chain(wide_suite(seed))
+                .collect();
+            assert_eq!(
+                names().collect::<Vec<_>>(),
+                suites.iter().map(|b| b.name).collect::<Vec<_>>()
+            );
+            for b in &suites {
+                for asked in [b.name.to_string(), b.name.to_ascii_lowercase()] {
+                    let got = by_name(&asked, seed).expect("a suite name");
+                    assert_eq!(got.name, b.name);
+                    assert_eq!(got.circuit, b.circuit, "{asked} at seed {seed}");
+                    assert_eq!(format!("{:?}", got.circuit), format!("{:?}", b.circuit));
+                }
+            }
+        }
+        assert!(by_name("NOPE", 7).is_none());
     }
 
     #[test]

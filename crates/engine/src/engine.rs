@@ -9,6 +9,11 @@
 //! no barrier between phases and no idle tail while one late circuit
 //! finishes routing.
 //!
+//! A pool run may also carry *re-score units* after the routing units,
+//! one per kept route (the fleet's kept jobs, see [`crate::policy`]):
+//! each scores its route's consolidated items under a new calibration,
+//! under a `schedule` span, and fills the back half's idle tail.
+//!
 //! At [`VerifyLevel::Sampled`] the back half only *prepares* the job's
 //! check ([`PreparedCheck`]) and then publishes its K Monte-Carlo samples
 //! as *sample units*, which any worker takes ahead of routing units. The
@@ -17,11 +22,19 @@
 //! condition variable while some job is still routing or preparing (its
 //! samples may yet come), and returns once none is.
 //!
+//! Work a run would otherwise repeat is done once. The noise-aware
+//! routing oracle (an all-pairs effective-distance solve) is built inside
+//! the pool by the first routing unit that needs it, once per distinct
+//! `(map, calibration)` pair: jobs holding the same two [`Arc`]s share
+//! it. Consolidation extracts Weyl points through one [`WeylMemo`] per
+//! worker slot ([`WeylMemos`]), kept by the caller for the whole run.
+//!
 //! Determinism: every routing unit seeds its own `StdRng` from the unit's
 //! seed value, best-seed selection is "strictly fewer SWAPs, earliest seed
 //! wins" (exactly [`route_best_of`]'s rule), each sample's fidelity is a
 //! pure function of `(job, sample)`, the verdict folds the samples in
-//! sample order, and results land in per-job slots — the output is a pure
+//! sample order, an oracle and a Weyl point are pure functions of their
+//! inputs, and results land in per-job slots — the output is a pure
 //! function of the batch and config, bit-for-bit identical at any thread
 //! count.
 //!
@@ -35,9 +48,10 @@ use paradrive_core::flow::{evaluate_with_calibration, BenchmarkResult};
 use paradrive_core::rules::{BaselineSqrtIswap, ParallelDriveRules, SynthesizedParallelDrive};
 use paradrive_obs::{Counter, Recorder, Trace};
 use paradrive_transpiler::calibration::Calibration;
-use paradrive_transpiler::consolidate::{consolidate, Item};
+use paradrive_transpiler::consolidate::{consolidate_with, Item, WeylMemo};
 use paradrive_transpiler::fidelity::FidelityModel;
 use paradrive_transpiler::routing::{route_with_oracle, NoiseOracle, Routed, RouterOptions};
+use paradrive_transpiler::topology::CouplingMap;
 use paradrive_transpiler::CostModel;
 use paradrive_transpiler::TranspileError;
 use paradrive_verify::{
@@ -45,7 +59,7 @@ use paradrive_verify::{
 };
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
 use std::time::{Duration, Instant};
 
 /// A per-job completion sink for [`run_batch_streaming`]: called once per
@@ -58,6 +72,74 @@ pub type JobSink<'a> = dyn Fn(usize, CircuitReport) + Sync + 'a;
 /// receives the job's consolidated items, so a caller that re-scores the
 /// same route later (the fleet policy) never consolidates it again.
 pub(crate) type ItemSink<'a> = dyn Fn(usize, CircuitReport, Vec<Item>) + Sync + 'a;
+
+/// The sink of a pool's re-score units: called with the unit's index in
+/// [`PoolWork::rescores`] and its result, on the worker that scored it.
+pub(crate) type RescoreSink<'a> = dyn Fn(usize, BenchmarkResult) + Sync + 'a;
+
+/// A kept route re-scored as one pool unit: its consolidated items and
+/// SWAP count, scored under `cal` (the fleet's kept jobs).
+pub(crate) struct Rescore<'a> {
+    /// The unit's span key, which also ranks its failure among the run's.
+    pub(crate) key: usize,
+    /// The job name, the span label and the result's name.
+    pub(crate) name: &'a str,
+    /// The route's consolidated items.
+    pub(crate) items: &'a [Item],
+    /// SWAPs the route inserted.
+    pub(crate) swaps: usize,
+    /// Width of the device the route runs on.
+    pub(crate) device_qubits: usize,
+    /// Width of the logical circuit.
+    pub(crate) logical_qubits: usize,
+    /// The calibration to score under.
+    pub(crate) cal: &'a Calibration,
+}
+
+/// Everything one pool run does: route and finish every job of `batch`,
+/// then re-score every kept route in `rescores`.
+pub(crate) struct PoolWork<'a> {
+    /// The jobs to route.
+    pub(crate) batch: &'a Batch,
+    /// Span key of each batch job, which also ranks its failure; `None`
+    /// keys job `i` as `i`.
+    pub(crate) keys: Option<&'a [usize]>,
+    /// Where each routed job's report and items go.
+    pub(crate) finished: &'a ItemSink<'a>,
+    /// Kept routes to re-score, one unit each, after the routing units.
+    pub(crate) rescores: &'a [Rescore<'a>],
+    /// Where each re-score's result goes.
+    pub(crate) rescored: &'a RescoreSink<'a>,
+}
+
+/// One [`WeylMemo`] per worker slot, kept by the caller for a whole run
+/// (every job of a batch, every epoch of a fleet). A worker takes its
+/// slot's memo when it starts and puts it back when it returns, so a
+/// consolidation never takes a lock another worker could hold. A memo only
+/// saves Weyl extractions; which worker's memo answers never changes an
+/// item, so a poisoned slot still holds a usable memo.
+pub(crate) struct WeylMemos(Vec<Mutex<WeylMemo>>);
+
+impl WeylMemos {
+    /// Memos for up to `slots` workers.
+    pub(crate) fn new(slots: usize) -> Self {
+        WeylMemos((0..slots).map(|_| Mutex::default()).collect())
+    }
+
+    /// Takes worker `slot`'s memo (a fresh one past the last slot).
+    fn take(&self, slot: usize) -> WeylMemo {
+        self.0.get(slot).map_or_else(WeylMemo::default, |memo| {
+            std::mem::take(&mut *memo.lock().unwrap_or_else(|e| e.into_inner()))
+        })
+    }
+
+    /// Puts worker `slot`'s memo back for the run's next pool.
+    fn put(&self, slot: usize, memo: WeylMemo) {
+        if let Some(cell) = self.0.get(slot) {
+            *cell.lock().unwrap_or_else(|e| e.into_inner()) = memo;
+        }
+    }
+}
 
 /// Runs every job in `batch` and returns the aggregated report.
 ///
@@ -165,45 +247,57 @@ pub fn run_batch_streaming_with_caches(
     sink: &JobSink<'_>,
     caches: Option<(&DecompositionCache, &DecompositionCache)>,
 ) -> Result<BatchSummary, EngineError> {
-    run_pool(
+    let work = PoolWork {
         batch,
+        keys: None,
+        finished: &|job, report, _items| sink(job, report),
+        rescores: &[],
+        rescored: &|_, _| {},
+    };
+    run_pool(
+        &work,
         config,
-        &|job, report, _items| sink(job, report),
         caches,
+        &WeylMemos::new(config.workers_for(batch)),
     )
 }
 
-/// The worker pool behind every entry point: runs `batch` and hands each
-/// finished job's report and consolidated items to `sink` (see
-/// [`run_batch_streaming_with_caches`] for the contract).
+/// The worker pool behind every entry point: runs `work` (see
+/// [`run_batch_streaming_with_caches`] for the contract), consolidating
+/// through `memos`.
+///
+/// # Errors
+///
+/// The failure with the lowest key among the batch's jobs and the
+/// re-score units: for a plain batch, the first failing job in
+/// submission order.
 pub(crate) fn run_pool(
-    batch: &Batch,
+    work: &PoolWork<'_>,
     config: &EngineConfig,
-    sink: &ItemSink<'_>,
     caches: Option<(&DecompositionCache, &DecompositionCache)>,
+    memos: &WeylMemos,
 ) -> Result<BatchSummary, EngineError> {
     let started = Instant::now();
+    let batch = work.batch;
     let seeds = config.routing_seeds.max(1) as usize;
     let n_jobs = batch.len();
-    let unit_count = n_jobs * seeds;
-    let threads = config.workers_for(batch);
+    let routing_units = n_jobs * seeds;
+    let threads = config.pool_workers(batch, work.rescores.len());
 
-    // Validate each job's calibration against its device once, and build
-    // the noise-aware routing oracle (an all-pairs effective-distance
-    // solve) once per job rather than once per routing seed. Invalid jobs
-    // carry their error into the routing units.
-    let noise: Vec<Result<Option<NoiseOracle>, TranspileError>> = (0..n_jobs)
+    // Jobs on the same (map, calibration) pair, by `Arc` identity, share
+    // one validation and one noise-aware routing oracle, built by the
+    // first routing unit that needs them.
+    let mut pairs: Vec<(&CouplingMap, &Calibration)> = Vec::new();
+    let noise_pair: Vec<Option<usize>> = (0..n_jobs)
         .map(|job| {
-            let map = batch.map_for(job);
-            match batch.calibration_for(job) {
-                Some(cal) => {
-                    cal.validate_for(map)?;
-                    Ok(config
-                        .noise_aware
-                        .then(|| NoiseOracle::new(map, cal, RouterOptions::default())))
-                }
-                None => Ok(None),
-            }
+            let (map, cal) = (batch.map_for(job), batch.calibration_for(job)?);
+            let known = pairs
+                .iter()
+                .position(|&(m, c)| std::ptr::eq(m, map) && std::ptr::eq(c, cal));
+            Some(known.unwrap_or_else(|| {
+                pairs.push((map, cal));
+                pairs.len() - 1
+            }))
         })
         .collect();
 
@@ -215,15 +309,17 @@ pub(crate) fn run_pool(
     let rec = Recorder::new();
     let split_samples = config.verify == VerifyLevel::Sampled;
     let shared = Shared {
-        batch,
+        work,
         config,
-        noise,
+        noise_pair,
+        oracles: pairs.iter().map(|_| OnceLock::new()).collect(),
         seeds,
         scorer: Scorer::new(config, caches),
         next_unit: AtomicUsize::new(0),
         units_left: (0..n_jobs).map(|_| AtomicUsize::new(seeds)).collect(),
-        routed: (0..unit_count).map(|_| Mutex::new(None)).collect(),
+        routed: (0..routing_units).map(|_| Mutex::new(None)).collect(),
         failures: (0..n_jobs).map(|_| Mutex::new(None)).collect(),
+        rescore_failures: work.rescores.iter().map(|_| Mutex::new(None)).collect(),
         split_samples,
         samples: Mutex::new(SampleQueue {
             ready: VecDeque::new(),
@@ -231,11 +327,11 @@ pub(crate) fn run_pool(
         }),
         sample_ready: Condvar::new(),
         seed_attempts: rec.counter("route.seed_attempts"),
+        oracle_builds: rec.counter("route.oracles"),
         rec,
-        sink,
     };
 
-    if unit_count > 0 {
+    if routing_units + work.rescores.len() > 0 {
         // Join each worker explicitly. The scope's own join returns once a
         // worker's closure is done, before its OS thread has exited; the
         // next batch's workers can then start while these still hold
@@ -245,7 +341,14 @@ pub(crate) fn run_pool(
         // 12–15 MB; joining keeps it flat from batch to batch.
         std::thread::scope(|scope| {
             let workers: Vec<_> = (0..threads)
-                .map(|_| scope.spawn(|| shared.run_worker()))
+                .map(|slot| {
+                    let shared = &shared;
+                    scope.spawn(move || {
+                        let mut memo = memos.take(slot);
+                        shared.run_worker(&mut memo);
+                        memos.put(slot, memo);
+                    })
+                })
                 .collect();
             for worker in workers {
                 if let Err(panic) = worker.join() {
@@ -255,13 +358,20 @@ pub(crate) fn run_pool(
         });
     }
 
-    for (j, slot) in shared.failures.iter().enumerate() {
-        if let Some(e) = slot.lock().expect("failure slot poisoned").take() {
-            return Err(EngineError::Job {
-                job: batch.jobs()[j].name.clone(),
-                source: e,
-            });
-        }
+    let take =
+        |slot: &Mutex<Option<TranspileError>>| slot.lock().expect("failure slot poisoned").take();
+    let job_failures = (shared.failures.iter().enumerate())
+        .filter_map(|(j, slot)| Some((shared.key(j), batch.jobs()[j].name.as_str(), take(slot)?)));
+    let rescore_failures = (work.rescores.iter().zip(&shared.rescore_failures))
+        .filter_map(|(r, slot)| Some((r.key as u64, r.name, take(slot)?)));
+    if let Some((_, job, source)) = job_failures
+        .chain(rescore_failures)
+        .min_by_key(|(key, ..)| *key)
+    {
+        return Err(EngineError::Job {
+            job: job.to_string(),
+            source,
+        });
     }
 
     let mut trace = shared.rec.take();
@@ -394,17 +504,22 @@ impl<'a> Scorer<'a> {
     }
 }
 
-/// State shared by every worker for one batch run.
-struct Shared<'a, 'sink> {
-    batch: &'a Batch,
+/// State shared by every worker for one pool run.
+struct Shared<'a> {
+    work: &'a PoolWork<'a>,
     config: &'a EngineConfig,
-    /// Per-job noise-aware routing oracle (`Ok(None)` for noise-blind or
-    /// uncalibrated jobs), or the calibration-validation error every one
-    /// of the job's routing units reports.
-    noise: Vec<Result<Option<NoiseOracle>, TranspileError>>,
+    /// Each job's `(map, calibration)` pair, an index into `oracles`
+    /// (`None` for uncalibrated jobs).
+    noise_pair: Vec<Option<usize>>,
+    /// Per pair, built once by the first routing unit that needs it: the
+    /// noise-aware routing oracle (`Ok(None)` when routing noise-blind),
+    /// or the calibration-validation error every routing unit of the
+    /// pair's jobs reports.
+    oracles: Vec<OnceLock<Result<Option<NoiseOracle>, TranspileError>>>,
     seeds: usize,
     scorer: Scorer<'a>,
-    /// Cursor over the flattened `(job, seed)` routing units.
+    /// Cursor over the flattened `(job, seed)` routing units, then the
+    /// re-score units.
     next_unit: AtomicUsize,
     /// Routing units still outstanding per job; the worker that drops a
     /// job's counter to zero owns its back half.
@@ -413,6 +528,8 @@ struct Shared<'a, 'sink> {
     routed: Vec<Mutex<Option<Result<Routed, TranspileError>>>>,
     /// Per-job error slots; successful reports go straight to the sink.
     failures: Vec<Mutex<Option<TranspileError>>>,
+    /// Per-re-score error slots.
+    rescore_failures: Vec<Mutex<Option<TranspileError>>>,
     /// Whether sampled checks run as sample units ([`VerifyLevel::Sampled`]).
     /// Otherwise the sample queue is never touched and workers never wait.
     split_samples: bool,
@@ -423,13 +540,13 @@ struct Shared<'a, 'sink> {
     sample_ready: Condvar,
     /// Routing units executed (one per `(job, seed)` pair).
     seed_attempts: Counter,
-    /// The batch-scoped recorder every stage span and counter lands in;
-    /// spans are keyed by job index so `run_batch` can rebuild per-job
-    /// times from the drained trace.
+    /// Noise-aware routing oracles built (one per `(map, calibration)`
+    /// pair routed noise-aware).
+    oracle_builds: Counter,
+    /// The pool-scoped recorder every stage span and counter lands in;
+    /// spans are keyed by [`Shared::key`] so `run_batch` can rebuild
+    /// per-job times from the drained trace.
     rec: Recorder,
-    /// Where finished reports go, called on the finishing worker — the
-    /// engine itself retains nothing per job beyond the error slots.
-    sink: &'sink ItemSink<'sink>,
 }
 
 /// The pool's sample units and the count that tells an idle worker
@@ -465,9 +582,9 @@ type FinishedJob<'a> = (CircuitReport, Vec<Item>, Option<PreparedCheck<'a>>);
 
 /// Closes a job's back half in the sample queue when dropped — also on
 /// unwind, so a panicking back half cannot leave idle workers waiting.
-struct CloseJob<'s, 'a, 'sink>(&'s Shared<'a, 'sink>);
+struct CloseJob<'s, 'a>(&'s Shared<'a>);
 
-impl Drop for CloseJob<'_, '_, '_> {
+impl Drop for CloseJob<'_, '_> {
     fn drop(&mut self) {
         let mut queue = self.0.queue();
         queue.open -= 1;
@@ -477,31 +594,41 @@ impl Drop for CloseJob<'_, '_, '_> {
     }
 }
 
-impl<'a> Shared<'a, '_> {
-    fn run_worker(&self) {
+impl<'a> Shared<'a> {
+    fn run_worker(&self, memo: &mut WeylMemo) {
         // At most one register pair per worker, allocated at its first
         // sample and dropped when it returns.
         let mut registers = RegisterPair::default();
-        let unit_count = self.routed.len();
-        let mut routing = true;
+        let routing_units = self.routed.len();
+        let units = routing_units + self.work.rescores.len();
+        let mut pulling = true;
         loop {
             if let Some((sample, job)) = self.take_sample(false) {
                 self.run_sample(sample, &job, &mut registers);
                 continue;
             }
-            if routing {
+            if pulling {
                 let unit = self.next_unit.fetch_add(1, Ordering::Relaxed);
-                if unit < unit_count {
-                    self.route_unit(unit);
+                if unit < routing_units {
+                    self.route_unit(unit, memo);
                     continue;
                 }
-                routing = false;
+                if unit < units {
+                    self.rescore_unit(unit - routing_units);
+                    continue;
+                }
+                pulling = false;
             }
             match self.take_sample(true) {
                 Some((sample, job)) => self.run_sample(sample, &job, &mut registers),
                 None => return,
             }
         }
+    }
+
+    /// The span key of batch job `job`.
+    fn key(&self, job: usize) -> u64 {
+        self.work.keys.map_or(job, |keys| keys[job]) as u64
     }
 
     /// The sample queue's lock. Nothing panics while holding it, but a
@@ -534,37 +661,87 @@ impl<'a> Shared<'a, '_> {
 
     /// Routes one `(job, seed)` unit; the worker that finishes a job's
     /// last routing unit runs the job's back half right away.
-    fn route_unit(&self, unit: usize) {
+    fn route_unit(&self, unit: usize, memo: &mut WeylMemo) {
         let job = unit / self.seeds;
         let seed = (unit % self.seeds) as u64;
 
-        let map = self.batch.map_for(job);
+        let map = self.work.batch.map_for(job);
         let result = {
-            let _span = self.rec.span_full("route", job as u64, || {
-                format!("{}#{seed}", self.batch.jobs()[job].name)
+            let _span = self.rec.span_full("route", self.key(job), || {
+                format!("{}#{seed}", self.work.batch.jobs()[job].name)
             });
             self.seed_attempts.incr(1);
-            match &self.noise[job] {
-                Ok(oracle) => route_with_oracle(
-                    &self.batch.jobs()[job].circuit,
+            self.noise_oracle(job).and_then(|oracle| {
+                route_with_oracle(
+                    &self.work.batch.jobs()[job].circuit,
                     map,
-                    oracle.as_ref(),
+                    oracle,
                     seed,
                     RouterOptions::default(),
-                ),
-                Err(e) => Err(e.clone()),
-            }
+                )
+            })
         };
         *self.routed[unit].lock().expect("routing slot poisoned") = Some(result);
 
         if self.units_left[job].fetch_sub(1, Ordering::AcqRel) == 1 {
             let _close = self.split_samples.then(|| CloseJob(self));
-            match self.finish_job(job) {
-                Ok((report, items, None)) => (self.sink)(job, report, items),
+            match self.finish_job(job, memo) {
+                Ok((report, items, None)) => (self.work.finished)(job, report, items),
                 Ok((report, items, Some(check))) => self.publish(job, check, report, items),
                 Err(e) => {
                     *self.failures[job].lock().expect("failure slot poisoned") = Some(e);
                 }
+            }
+        }
+    }
+
+    /// Job `job`'s noise-aware routing oracle (`None` when it routes
+    /// noise-blind), built by the first caller for its `(map,
+    /// calibration)` pair after validating the calibration against the
+    /// map.
+    fn noise_oracle(&self, job: usize) -> Result<Option<&NoiseOracle>, TranspileError> {
+        let Some(pair) = self.noise_pair[job] else {
+            return Ok(None);
+        };
+        let built = self.oracles[pair].get_or_init(|| {
+            let batch = self.work.batch;
+            let (map, cal) = (batch.map_for(job), batch.calibration_for(job));
+            let cal = cal.expect("paired jobs are calibrated");
+            cal.validate_for(map)?;
+            if !self.config.noise_aware {
+                return Ok(None);
+            }
+            self.oracle_builds.incr(1);
+            Ok(Some(NoiseOracle::new(map, cal, RouterOptions::default())))
+        });
+        match built {
+            Ok(oracle) => Ok(oracle.as_ref()),
+            Err(e) => Err(e.clone()),
+        }
+    }
+
+    /// Re-scores kept route `i` under its new calibration.
+    fn rescore_unit(&self, i: usize) {
+        let r = &self.work.rescores[i];
+        let scored = {
+            let _span = self
+                .rec
+                .span_full("schedule", r.key as u64, || r.name.to_string());
+            self.scorer.score(
+                r.name,
+                r.items,
+                r.swaps,
+                r.device_qubits,
+                r.logical_qubits,
+                Some(r.cal),
+            )
+        };
+        match scored {
+            Ok(result) => (self.work.rescored)(i, result),
+            Err(e) => {
+                *self.rescore_failures[i]
+                    .lock()
+                    .expect("failure slot poisoned") = Some(e);
             }
         }
     }
@@ -600,8 +777,8 @@ impl<'a> Shared<'a, '_> {
     fn run_sample(&self, sample: usize, sampled: &SampledJob<'_>, registers: &mut RegisterPair) {
         let job = sampled.job;
         let outcome = {
-            let _span = self.rec.span_full("verify.sample", job as u64, || {
-                format!("{}#{sample}", self.batch.jobs()[job].name)
+            let _span = self.rec.span_full("verify.sample", self.key(job), || {
+                format!("{}#{sample}", self.work.batch.jobs()[job].name)
             });
             sampled.check.run_unit(sample, registers)
         };
@@ -625,7 +802,7 @@ impl<'a> Shared<'a, '_> {
             .unwrap_or_else(error_verdict);
         self.count_samples(&verification);
         report.verification = Some(verification);
-        (self.sink)(job, report, items);
+        (self.work.finished)(job, report, items);
     }
 
     /// Adds a Monte-Carlo verdict's samples to `verify.samples`.
@@ -637,14 +814,21 @@ impl<'a> Shared<'a, '_> {
 
     /// Best-seed selection, consolidation, verification and scoring for
     /// one fully routed job. Each stage runs under its own span (keyed by
-    /// the job index, labeled by the job name). A sampled check is only
+    /// [`Shared::key`], labeled by the job name). A sampled check is only
     /// prepared here, and its samples run as pool units under
     /// `verify.sample` spans; `run_batch` sums every span of a job into
     /// its pipeline time, and the placeholders below stay zero until then.
-    fn finish_job(&self, job: usize) -> Result<FinishedJob<'a>, TranspileError> {
-        let spec = &self.batch.jobs()[job];
-        let stage = |name| self.rec.span_full(name, job as u64, || spec.name.clone());
-        let cal = self.batch.calibration_for(job);
+    fn finish_job(
+        &self,
+        job: usize,
+        memo: &mut WeylMemo,
+    ) -> Result<FinishedJob<'a>, TranspileError> {
+        let spec = &self.work.batch.jobs()[job];
+        let stage = |name| {
+            self.rec
+                .span_full(name, self.key(job), || spec.name.clone())
+        };
+        let cal = self.work.batch.calibration_for(job);
         // Pick the best seed. Uncalibrated jobs keep `route_best_of`'s
         // rule — strictly fewest SWAPs, earliest seed wins. Calibrated
         // jobs rank by the route's gate-error survival product first, so
@@ -672,10 +856,10 @@ impl<'a> Shared<'a, '_> {
         };
         let items = {
             let _span = stage("consolidate");
-            consolidate(&best.circuit)?
+            consolidate_with(&best.circuit, memo)?
         };
 
-        let map = self.batch.map_for(job);
+        let map = self.work.batch.map_for(job);
 
         // Semantic verification replays the *consolidated* stream — each
         // two-qubit block as one fused 4×4 apply — against the logical

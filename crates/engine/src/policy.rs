@@ -22,6 +22,19 @@
 //!   [`run_batch_streaming_with_caches`]), so re-transpiles revisit warm
 //!   Weyl classes instead of rebuilding cold caches per epoch.
 //!
+//! Each epoch is one pass through the engine's worker pool, and that
+//! pass does all of the epoch's work: the re-transpiled jobs' routing
+//! units and back halves, their sample units under
+//! [`VerifyLevel::Sampled`](crate::VerifyLevel::Sampled), and one
+//! re-score unit per kept job. A routed job's adoption — its new route's
+//! survival under the epoch's calibration, plus the consolidated items it
+//! carries — is taken in the pool's sink on the worker that finished the
+//! job. Only the policy decisions and the in-order emission run on the
+//! calling thread. The pool builds each noise-aware routing oracle once
+//! per `(map, calibration snapshot)` pair, so the jobs of one timeline
+//! share it within an epoch, and the fleet keeps one Weyl-point memo per
+//! worker slot across all its epochs.
+//!
 //! Like the batch engine, the fleet streams: every `(epoch, job)` cell's
 //! decision and [`CircuitReport`] go to a caller sink, and the run
 //! returns a [`BatchSummary`]. Rollups over the cells (mean delivered
@@ -38,10 +51,11 @@
 
 use crate::batch::{Batch, EngineConfig};
 use crate::cache::DecompositionCache;
-use crate::engine::{run_pool, Scorer};
+use crate::engine::{run_pool, PoolWork, Rescore, WeylMemos};
 use crate::report::{BatchSummary, CircuitReport};
 use crate::EngineError;
 use paradrive_circuit::Circuit;
+use paradrive_core::flow::BenchmarkResult;
 use paradrive_obs::Trace;
 use paradrive_transpiler::calibration::drift::CalibrationTimeline;
 use paradrive_transpiler::consolidate::Item;
@@ -184,34 +198,51 @@ struct Adopted {
     verification: Option<Verification>,
 }
 
+/// One job's epoch, as the worker that finished it leaves it.
+enum EpochCell {
+    /// A fresh or re-transpiled job: its report, its consolidated items,
+    /// and its route's survival under the epoch's calibration — all its
+    /// adoption needs.
+    Routed(CircuitReport, Vec<Item>, f64),
+    /// A kept job's re-scored result.
+    Kept(BenchmarkResult),
+}
+
 /// Replays every job's calibration timeline epoch by epoch under one
 /// re-transpilation `policy`, handing every `(epoch, job, decision,
 /// report)` cell to `sink`.
 ///
 /// Epoch 0 transpiles every job fresh; later epochs consult the policy
-/// per job (see [`RetranspilePolicy`]). Kept jobs re-score their cached
-/// consolidated items under the new calibration without routing;
-/// re-transpiled jobs go through the full engine pipeline as one
-/// sub-batch per epoch, sharing a single warm [`DecompositionCache`]
-/// pair across all epochs. Kept jobs carry their adoption verification
-/// verdict forward — the routed circuit is unchanged, so the verdict is
-/// too.
+/// per job (see [`RetranspilePolicy`]) on the calling thread. Each epoch
+/// then runs one engine pool: the re-transpiled jobs go through the
+/// full pipeline, and each kept job re-scores its cached consolidated
+/// items under the new calibration as one unit of the same pool,
+/// without routing. Re-transpiled jobs are adopted on the worker that
+/// finished them. Kept jobs carry their adoption verification verdict
+/// forward — the routed circuit is unchanged, so the verdict is too.
+/// One warm [`DecompositionCache`] pair and one Weyl-point memo per
+/// worker slot serve every epoch, and each epoch's pool builds one
+/// noise-aware routing oracle per `(map, calibration snapshot)` pair it
+/// routes.
 ///
 /// The sink runs on the calling thread, in epoch order and, within an
 /// epoch, in job submission order. Reports keep their routed circuit
 /// only under [`EngineConfig::keep_routed`], and carry zero
-/// `route_time`/`pipeline_time`. The returned summary holds the largest
-/// worker count any sub-batch used, the fleet wall clock, the shared
-/// cache pair's cumulative counters, and the merged trace: every
-/// sub-batch's spans shifted onto one timeline, its counters prefixed
-/// `epochN.`, plus per-epoch `fleet.epochN.{fresh,kept,retranspiled}`
-/// decision counters.
+/// `route_time`/`pipeline_time`. The returned summary holds the
+/// configured worker count, the fleet wall clock, the shared cache
+/// pair's cumulative counters, and the merged trace: every epoch's
+/// spans shifted onto one timeline and keyed by fleet job index, its
+/// counters prefixed `epochN.`, per-epoch
+/// `fleet.epochN.{fresh,kept,retranspiled}` decision counters, and
+/// `fleet.route.oracles`, the oracles built over all epochs.
 ///
 /// # Errors
 ///
-/// [`EngineError::Fleet`] when the jobs disagree on epoch count, and any
-/// [`EngineError::Job`] a sub-batch reports (invalid calibration,
-/// unroutable circuit, …). The sink has then seen every earlier epoch.
+/// [`EngineError::Fleet`] when the jobs disagree on epoch count, and
+/// the [`EngineError::Job`] of the first job, in submission order, that
+/// fails in an epoch (invalid calibration, unroutable circuit, a score
+/// that overflows, …). The sink has then seen every earlier epoch and
+/// none of the failing one.
 pub fn run_fleet(
     jobs: &[FleetJob],
     config: &EngineConfig,
@@ -231,21 +262,22 @@ pub fn run_fleet(
         });
     }
 
-    // One warm cache pair for the whole fleet: re-transpiles at late
-    // epochs revisit the Weyl classes epoch 0 already decomposed.
+    // One warm cache pair and one set of Weyl memos for the whole fleet:
+    // re-transpiles at late epochs revisit the Weyl classes and the
+    // blocks epoch 0 already decomposed.
     let caches = config
         .cache
         .then(|| (DecompositionCache::new(), DecompositionCache::new()));
     let cache_refs = caches.as_ref().map(|(b, o)| (b, o));
-    // Sub-batches must keep routed circuits — the cached route *is* the
-    // fleet's working state; the caller's `keep_routed` governs only what
-    // the emitted reports retain.
+    let memos = WeylMemos::new(config.effective_threads());
+    // Re-transpiled jobs must keep routed circuits — the cached route
+    // *is* the fleet's working state; the caller's `keep_routed` governs
+    // only what the emitted reports retain.
     let inner = config.keep_routed(true);
-    let scorer = Scorer::new(config, cache_refs);
 
     let mut adopted: Vec<Option<Adopted>> = (0..jobs.len()).map(|_| None).collect();
     let mut trace = Trace::default();
-    let mut threads = config.effective_threads();
+    let mut oracles = 0;
 
     for epoch in 0..n_epochs {
         // Decide per job. Epoch 0 is always fresh; later epochs compare
@@ -274,95 +306,100 @@ pub fn run_fleet(
             })
             .collect();
 
-        // Re-transpile the stale jobs as one engine sub-batch, keeping
-        // each one's consolidated items for later re-scoring.
-        let stale: Vec<usize> = (0..jobs.len())
-            .filter(|&j| decisions[j] != EpochDecision::Kept)
-            .collect();
-        let mut fresh: Vec<Option<CircuitReport>> = (0..jobs.len()).map(|_| None).collect();
-        if !stale.is_empty() {
-            let mut batch = Batch::with_shared(Arc::clone(&jobs[stale[0]].map));
-            for &j in &stale {
-                let job = &jobs[j];
-                batch.push_calibrated(
-                    job.name.clone(),
-                    job.circuit.clone(),
-                    Arc::clone(&job.map),
-                    job.timeline.snapshot_shared(epoch),
-                );
-            }
-            let slots: Vec<Mutex<Option<_>>> = stale.iter().map(|_| Mutex::new(None)).collect();
-            let summary = run_pool(
-                &batch,
-                &inner,
-                &|i, report, items| {
-                    *slots[i].lock().expect("report slot poisoned") = Some((report, items));
-                },
-                cache_refs,
-            )?;
-            threads = summary.threads.max(threads);
-            let mut sub = summary.trace;
-            sub.shift(trace.end_ns());
-            sub.prefix_counters(&format!("epoch{epoch}."));
-            trace.merge(sub);
-            for (slot, &j) in slots.into_iter().zip(&stale) {
-                let (report, items) = slot
-                    .into_inner()
-                    .expect("report slot poisoned")
-                    .expect("every successful job produces a report");
-                let routed = report
-                    .routed
-                    .clone()
-                    .expect("fleet sub-batches keep routed circuits");
-                adopted[j] = Some(Adopted {
-                    survival: jobs[j].timeline.snapshot(epoch).routed_survival(&routed),
-                    routed,
-                    items,
-                    swaps: report.result.swaps,
-                    verification: report.verification.clone(),
-                });
-                fresh[j] = Some(report);
-            }
+        // The epoch's one pool: the stale jobs route as a batch, and the
+        // kept jobs re-score their cached items as units of the same pool.
+        let (stale, kept): (Vec<usize>, Vec<usize>) =
+            (0..jobs.len()).partition(|&j| decisions[j] != EpochDecision::Kept);
+        let mut batch = Batch::with_shared(Arc::clone(&jobs[0].map));
+        for &j in &stale {
+            let job = &jobs[j];
+            batch.push_calibrated(
+                job.name.clone(),
+                job.circuit.clone(),
+                Arc::clone(&job.map),
+                job.timeline.snapshot_shared(epoch),
+            );
         }
+        let rescores: Vec<Rescore<'_>> = kept
+            .iter()
+            .map(|&j| {
+                let (job, cached) = (&jobs[j], adopted[j].as_ref().expect("adopted at epoch 0"));
+                Rescore {
+                    key: j,
+                    name: &job.name,
+                    items: &cached.items,
+                    swaps: cached.swaps,
+                    device_qubits: job.map.n_qubits(),
+                    logical_qubits: job.circuit.n_qubits(),
+                    cal: job.timeline.snapshot(epoch),
+                }
+            })
+            .collect();
 
-        // Emit the epoch: re-transpiled jobs hand over their fresh engine
-        // reports; kept jobs re-score their cached items under the new
-        // calibration through the engine's schedule stage (shared caches
-        // included), with their adoption verification verdict carried
-        // forward.
-        for (j, job) in jobs.iter().enumerate() {
-            let mut report = match fresh[j].take() {
-                Some(report) => report,
-                None => {
-                    let cached = adopted[j].as_ref().expect("adopted at epoch 0");
-                    let cal = job.timeline.snapshot(epoch);
-                    let result = scorer
-                        .score(
-                            &job.name,
-                            &cached.items,
-                            cached.swaps,
-                            job.map.n_qubits(),
-                            job.circuit.n_qubits(),
-                            Some(cal),
-                        )
-                        .map_err(|source| EngineError::Job {
-                            job: job.name.clone(),
-                            source,
-                        })?;
+        // Workers fill one slot per job: a routed job's report, items and
+        // survival (its adoption), or a kept job's re-scored result.
+        let slots: Vec<Mutex<Option<EpochCell>>> = jobs.iter().map(|_| Mutex::new(None)).collect();
+        let fill = |j: usize, cell| *slots[j].lock().expect("report slot poisoned") = Some(cell);
+        let finished = |i: usize, report: CircuitReport, items: Vec<Item>| {
+            let j = stale[i];
+            let routed = report
+                .routed
+                .as_ref()
+                .expect("fleet batches keep routed circuits");
+            let survival = jobs[j].timeline.snapshot(epoch).routed_survival(routed);
+            fill(j, EpochCell::Routed(report, items, survival));
+        };
+        let rescored = |i: usize, result| fill(kept[i], EpochCell::Kept(result));
+        let work = PoolWork {
+            batch: &batch,
+            keys: Some(&stale),
+            finished: &finished,
+            rescores: &rescores,
+            rescored: &rescored,
+        };
+        let mut sub = run_pool(&work, &inner, cache_refs, &memos)?.trace;
+        oracles += sub.counter("route.oracles").unwrap_or(0);
+        sub.shift(trace.end_ns());
+        sub.prefix_counters(&format!("epoch{epoch}."));
+        trace.merge(sub);
+
+        // Emit the epoch in job order and adopt the new routes. A kept
+        // job carries its adoption verification verdict forward.
+        for (j, slot) in slots.into_iter().enumerate() {
+            let cell = slot
+                .into_inner()
+                .expect("report slot poisoned")
+                .expect("every job of a successful epoch reports");
+            let report = match cell {
+                EpochCell::Routed(mut report, items, survival) => {
+                    let routed = if config.keep_routed {
+                        report.routed.clone()
+                    } else {
+                        report.routed.take()
+                    };
+                    adopted[j] = Some(Adopted {
+                        routed: routed.expect("fleet batches keep routed circuits"),
+                        items,
+                        swaps: report.result.swaps,
+                        survival,
+                        verification: report.verification.clone(),
+                    });
+                    report
+                }
+                EpochCell::Kept(result) => {
+                    let (job, cached) =
+                        (&jobs[j], adopted[j].as_ref().expect("adopted at epoch 0"));
                     CircuitReport {
                         result,
                         topology: job.map.label().to_string(),
-                        calibration: cal.label().to_string(),
-                        routed: Some(cached.routed.clone()),
+                        calibration: job.timeline.snapshot(epoch).label().to_string(),
+                        routed: config.keep_routed.then(|| cached.routed.clone()),
                         verification: cached.verification.clone(),
                         route_time: Duration::ZERO,
                         pipeline_time: Duration::ZERO,
                     }
                 }
             };
-            if !config.keep_routed {
-                report.routed = None;
-            }
             sink(epoch, j, decisions[j], report);
         }
         for (name, decision) in [
@@ -374,9 +411,10 @@ pub fn run_fleet(
             trace.set_counter(format!("fleet.epoch{epoch}.{name}"), count as u64);
         }
     }
+    trace.set_counter("fleet.route.oracles".to_string(), oracles);
 
     Ok(BatchSummary {
-        threads,
+        threads: config.effective_threads(),
         wall_clock: started.elapsed(),
         baseline_cache: cache_refs.map(|(b, _)| b.stats()),
         optimized_cache: cache_refs.map(|(_, o)| o.stats()),
@@ -392,6 +430,8 @@ mod tests {
     use paradrive_transpiler::calibration::drift::DriftSpec;
     use paradrive_transpiler::calibration::Calibration;
     use paradrive_transpiler::fidelity::FidelityModel;
+    use paradrive_transpiler::TranspileError;
+    use paradrive_verify::VerifyLevel;
 
     /// One sink call: `(epoch, job, decision, report)`.
     type Cell = (usize, usize, EpochDecision, CircuitReport);
@@ -540,6 +580,10 @@ mod tests {
         }
     }
 
+    /// Every cell of a drifting fleet is bit-identical at 1, 2 and 4
+    /// threads, with the cache on or off, and with verification off or
+    /// sampled — where a mixed epoch's routing, sample and kept units all
+    /// share one pool.
     #[test]
     fn fleet_reports_are_thread_deterministic() {
         let map = Arc::new(CouplingMap::grid(3, 3));
@@ -555,21 +599,35 @@ mod tests {
                 ("vqe8", benchmarks::vqe_linear(8, 2, 5)),
             ],
         );
-        let base = EngineConfig::default()
-            .routing_seeds(3)
-            .keep_routed(true)
-            .noise_aware(true);
         let policy = RetranspilePolicy::Adaptive {
             max_fidelity_loss: 0.02,
         };
-        let (one, _) = collect(&jobs, &base.threads(1), &policy).unwrap();
-        let (four, _) = collect(&jobs, &base.threads(4), &policy).unwrap();
-        assert_eq!(one.len(), 3 * jobs.len());
-        cells_identical(&one, &four);
-        // Cache off agrees too: the cache only changes wall clock.
-        let (raw, summary) = collect(&jobs, &base.threads(2).cache(false), &policy).unwrap();
-        cells_identical(&one, &raw);
-        assert!(summary.cache_stats().is_none());
+        for verify in [VerifyLevel::Off, VerifyLevel::Sampled] {
+            let base = EngineConfig::default()
+                .routing_seeds(3)
+                .keep_routed(true)
+                .noise_aware(true)
+                .verify(verify)
+                .verify_samples(3);
+            let (one, _) = collect(&jobs, &base.threads(1), &policy).unwrap();
+            assert_eq!(one.len(), 3 * jobs.len());
+            let mixed = (1..3).any(|epoch| {
+                let decided = |d| one.iter().any(|c| c.0 == epoch && c.2 == d);
+                decided(EpochDecision::Kept) && decided(EpochDecision::Retranspiled)
+            });
+            assert!(mixed, "no epoch mixes kept and re-transpiled jobs");
+            for threads in [2, 4] {
+                let (many, _) = collect(&jobs, &base.threads(threads), &policy).unwrap();
+                cells_identical(&one, &many);
+            }
+            // Cache off agrees too: the cache only changes wall clock.
+            let (raw, summary) = collect(&jobs, &base.threads(2).cache(false), &policy).unwrap();
+            cells_identical(&one, &raw);
+            assert!(summary.cache_stats().is_none());
+            if verify == VerifyLevel::Sampled {
+                assert!(one.iter().all(|c| c.3.verification.is_some()));
+            }
+        }
     }
 
     #[test]
@@ -584,6 +642,40 @@ mod tests {
         jobs.extend(fleet_on(&map, &two, vec![("b", benchmarks::ghz(9))]));
         let err = collect(&jobs, &EngineConfig::default(), &RetranspilePolicy::Never).unwrap_err();
         assert!(matches!(err, EngineError::Fleet { .. }), "{err}");
+    }
+
+    /// A failing epoch reports its first failing job in submission order,
+    /// and the sink sees none of it.
+    #[test]
+    fn a_failing_epoch_reports_its_first_failing_job() {
+        let grid = Arc::new(CouplingMap::grid(3, 3));
+        let ring = CouplingMap::ring(9);
+        let calm = |map: &CouplingMap| {
+            let cal = Calibration::uniform(map, FidelityModel::paper());
+            Arc::new(CalibrationTimeline::generate(&cal, map, &DriftSpec::calm(2, 1)).unwrap())
+        };
+        // A ring timeline on the grid: same width, other edges.
+        let wrong = calm(&ring);
+        let mut jobs = fleet_on(&grid, &calm(&grid), vec![("ok", benchmarks::ghz(8))]);
+        jobs.extend(fleet_on(
+            &grid,
+            &wrong,
+            vec![("bad-a", benchmarks::ghz(9)), ("bad-b", benchmarks::ghz(7))],
+        ));
+        let mut cells = 0;
+        let err = run_fleet(
+            &jobs,
+            &EngineConfig::default().routing_seeds(2).threads(2),
+            &RetranspilePolicy::Never,
+            &mut |_, _, _, _| cells += 1,
+        )
+        .unwrap_err();
+        let EngineError::Job { job, source } = err else {
+            panic!("expected a job error, got {err}");
+        };
+        assert_eq!(job, "bad-a");
+        assert!(matches!(source, TranspileError::InvalidCalibration(_)));
+        assert_eq!(cells, 0);
     }
 
     #[test]

@@ -1,12 +1,21 @@
 //! Shape checks for the execution trace every [`run_batch`] carries: one
 //! span per pipeline stage per job (and one per Monte-Carlo sample),
 //! cache and pipeline counters that are the same on every run, and a
-//! Chrome trace-event export that parses back as balanced B/E pairs.
+//! Chrome trace-event export that parses back as balanced B/E pairs. A
+//! fleet's trace keys every span by the fleet job and counts each noise
+//! oracle it builds once.
 
 use paradrive_circuit::benchmarks;
-use paradrive_engine::{run_batch, Batch, EngineConfig, EngineReport, VerifyLevel};
+use paradrive_engine::{
+    run_batch, run_fleet, Batch, BatchSummary, EngineConfig, EngineReport, EpochDecision, FleetJob,
+    RetranspilePolicy, VerifyLevel,
+};
 use paradrive_obs::json::{self, Value};
+use paradrive_transpiler::calibration::drift::{CalibrationTimeline, DriftSpec};
+use paradrive_transpiler::calibration::Calibration;
+use paradrive_transpiler::fidelity::FidelityModel;
 use paradrive_transpiler::topology::CouplingMap;
+use std::sync::Arc;
 
 const SEEDS: u64 = 3;
 const SAMPLES: u32 = 2;
@@ -175,4 +184,125 @@ fn chrome_export_parses_back_with_balanced_begin_end_pairs() {
     assert!(events
         .iter()
         .any(|ev| ev.get("ph").and_then(Value::as_str) == Some("C")));
+}
+
+const EPOCHS: usize = 3;
+
+/// A drifting fleet on one grid: two calibrations, each with its own
+/// timeline, and two circuits on each. Returns the jobs and, per job, the
+/// index of its timeline.
+fn drifting_fleet() -> (Vec<FleetJob>, Vec<usize>) {
+    let map = Arc::new(CouplingMap::grid(3, 3));
+    let mut jobs = Vec::new();
+    let mut timeline_of = Vec::new();
+    for (t, sigma) in [0.2, 0.3].into_iter().enumerate() {
+        let cal = Calibration::spread(&map, FidelityModel::paper(), sigma, 5).unwrap();
+        let spec = DriftSpec::walk(EPOCHS, 0.2, 1, 13 + t as u64);
+        let timeline = Arc::new(CalibrationTimeline::generate(&cal, &map, &spec).unwrap());
+        for (name, circuit) in [
+            ("ghz9", benchmarks::ghz(9)),
+            ("vqe8", benchmarks::vqe_linear(8, 2, 5)),
+        ] {
+            jobs.push(FleetJob {
+                name: format!("{name}-{sigma}"),
+                circuit,
+                map: Arc::clone(&map),
+                timeline: Arc::clone(&timeline),
+            });
+            timeline_of.push(t);
+        }
+    }
+    (jobs, timeline_of)
+}
+
+/// The fleet at `threads` workers: its decisions, in sink order, and its
+/// summary.
+fn run_drifting(
+    jobs: &[FleetJob],
+    threads: usize,
+) -> (Vec<(usize, usize, EpochDecision)>, BatchSummary) {
+    let config = EngineConfig::default()
+        .threads(threads)
+        .routing_seeds(SEEDS)
+        .noise_aware(true);
+    let policy = RetranspilePolicy::Adaptive {
+        max_fidelity_loss: 0.02,
+    };
+    let mut decisions = Vec::new();
+    let summary = run_fleet(jobs, &config, &policy, &mut |epoch, job, decision, _| {
+        decisions.push((epoch, job, decision));
+    })
+    .expect("drifting fleet");
+    (decisions, summary)
+}
+
+#[test]
+fn fleet_spans_are_keyed_by_fleet_job_and_oracles_are_built_once_per_pair() {
+    let (jobs, timeline_of) = drifting_fleet();
+    let (decisions, summary) = run_drifting(&jobs, 2);
+    let kept = |d: &EpochDecision| *d == EpochDecision::Kept;
+    assert!(
+        decisions.iter().any(|(e, _, d)| *e > 0 && kept(d)),
+        "no job was kept"
+    );
+    assert!(
+        decisions.iter().any(|(e, _, d)| *e > 0 && !kept(d)),
+        "no job was re-transpiled"
+    );
+
+    // One schedule span per (epoch, job) cell, kept or routed, and every
+    // span's key names the fleet job its label names — in every epoch,
+    // whatever the job's place among that epoch's re-transpiles.
+    let trace = &summary.trace;
+    for (j, job) in jobs.iter().enumerate() {
+        let schedules = trace
+            .spans
+            .iter()
+            .filter(|s| s.name == "schedule" && s.key == j as u64)
+            .count();
+        assert_eq!(schedules, EPOCHS, "{}: schedule spans", job.name);
+    }
+    for s in &trace.spans {
+        let job = &jobs[s.key as usize].name;
+        let name = s.label.split('#').next().unwrap();
+        assert_eq!(
+            name, job,
+            "{} span keyed {} is labeled {}",
+            s.name, s.key, s.label
+        );
+    }
+
+    // One oracle per (map, calibration snapshot) pair the epoch routes:
+    // the jobs of one timeline share it.
+    let mut routed_pairs: Vec<(usize, usize)> = decisions
+        .iter()
+        .filter(|(_, _, d)| !kept(d))
+        .map(|&(epoch, job, _)| (epoch, timeline_of[job]))
+        .collect();
+    routed_pairs.sort_unstable();
+    routed_pairs.dedup();
+    let routed_jobs = decisions.iter().filter(|(_, _, d)| !kept(d)).count();
+    assert!(
+        routed_pairs.len() < routed_jobs,
+        "no two routed jobs share a pair"
+    );
+    let oracles = trace.counter("fleet.route.oracles");
+    assert_eq!(oracles, Some(routed_pairs.len() as u64));
+    let per_epoch: u64 = (0..EPOCHS)
+        .map(|e| {
+            trace
+                .counter(&format!("epoch{e}.route.oracles"))
+                .unwrap_or(0)
+        })
+        .sum();
+    assert_eq!(Some(per_epoch), oracles);
+    for threads in [1, 4] {
+        let (again, summary) = run_drifting(&jobs, threads);
+        assert_eq!(again, decisions, "{threads} thread(s)");
+        assert_eq!(
+            summary.trace.counter("fleet.route.oracles"),
+            oracles,
+            "{threads} thread(s)"
+        );
+    }
 }

@@ -68,6 +68,11 @@ struct Args {
     names: Vec<String>,
 }
 
+const USAGE: &str = "usage: engine [--threads N] [--seeds N] [--no-cache] [--synth] \
+     [--suite-seed N] [--calibration SPEC] [--calibration-seed N] [--noise-aware] \
+     [--verify off|sampled|mps|exact] [--verify-samples K] [--verify-seed N] \
+     [--verify-max-bond CHI] [--verify-mps-tol TOL] [--trace FILE] [--timings] [NAME ...]";
+
 fn parse_args() -> Result<Args, String> {
     let defaults = EngineConfig::default();
     let mut args = Args {
@@ -153,17 +158,6 @@ fn parse_args() -> Result<Args, String> {
             }
             "--trace" => args.trace = Some(value("--trace")?),
             "--timings" => args.timings = true,
-            "--help" | "-h" => {
-                return Err(format!(
-                    "usage: engine [--threads N] [--seeds N] [--no-cache] [--synth] \
-                     [--suite-seed N] [--calibration SPEC] [--calibration-seed N] \
-                     [--noise-aware] [--verify off|sampled|mps|exact] [--verify-samples K] \
-                     [--verify-seed N] [--verify-max-bond CHI] [--verify-mps-tol TOL] \
-                     [--trace FILE] [--timings] [NAME ...]\n\
-                     limits: --threads at most {MAX_THREADS}, --seeds at most \
-                     {MAX_ROUTING_SEEDS}, --verify-samples 1 to {MAX_VERIFY_SAMPLES}"
-                ))
-            }
             flag if flag.starts_with('-') => return Err(format!("unknown flag `{flag}`")),
             name => args.names.push(name.to_string()),
         }
@@ -172,6 +166,14 @@ fn parse_args() -> Result<Args, String> {
 }
 
 fn main() -> ExitCode {
+    if std::env::args().any(|a| a == "--help" || a == "-h") {
+        println!("{USAGE}");
+        println!(
+            "limits: --threads at most {MAX_THREADS}, --seeds at most {MAX_ROUTING_SEEDS}, \
+             --verify-samples 1 to {MAX_VERIFY_SAMPLES}"
+        );
+        return ExitCode::SUCCESS;
+    }
     let args = match parse_args() {
         Ok(a) => a,
         Err(msg) => {

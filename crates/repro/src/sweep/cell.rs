@@ -11,7 +11,7 @@
 use super::spec::{
     parse_calibration, parse_drift, parse_topology, DriftScenario, SweepError, SweepSpec,
 };
-use paradrive_circuit::benchmarks::{standard_suite, wide_suite};
+use paradrive_circuit::benchmarks;
 use paradrive_circuit::Circuit;
 use paradrive_engine::{Costing, EngineConfig, Verification, VerifyLevel};
 use paradrive_transpiler::calibration::drift::CalibrationTimeline;
@@ -153,24 +153,25 @@ impl SweepPlan {
                 .collect::<Result<Vec<_>, _>>()?;
             cals.push(per_map);
         }
-        // Instantiate each workload seed once; cells clone circuits later.
-        // The wide 64-qubit family rides along so `--benchmarks QFT_64`
-        // reaches the MPS verification path on big topologies.
+        // Build each requested benchmark once per workload seed; cells
+        // clone circuits later. The wide 64-qubit family is known too, so
+        // `--benchmarks QFT_64` reaches the MPS verification path on big
+        // topologies.
         let mut circuits: Vec<Vec<(String, Circuit)>> = Vec::new();
         for &seed in &spec.suite_seeds {
-            let mut suite = standard_suite(seed);
-            suite.extend(wide_suite(seed));
-            let mut rows = Vec::new();
-            for want in &spec.benchmarks {
-                let b = suite
-                    .iter()
-                    .find(|b| b.name.eq_ignore_ascii_case(want))
-                    .ok_or_else(|| SweepError::UnknownBenchmark {
-                        name: want.clone(),
-                        known: suite.iter().map(|b| b.name).collect::<Vec<_>>().join(", "),
+            let rows = spec
+                .benchmarks
+                .iter()
+                .map(|want| {
+                    let b = benchmarks::by_name(want, seed).ok_or_else(|| {
+                        SweepError::UnknownBenchmark {
+                            name: want.clone(),
+                            known: benchmarks::names().collect::<Vec<_>>().join(", "),
+                        }
                     })?;
-                rows.push((b.name.to_string(), b.circuit.clone()));
-            }
+                    Ok((b.name.to_string(), b.circuit))
+                })
+                .collect::<Result<_, SweepError>>()?;
             circuits.push(rows);
         }
         let runs: Vec<(Costing, VerifyLevel)> = spec
@@ -703,7 +704,10 @@ mod tests {
         match SweepPlan::new(&spec).unwrap_err() {
             SweepError::UnknownBenchmark { name, known } => {
                 assert_eq!(name, "NOPE");
-                assert!(known.contains("GHZ"), "{known}");
+                assert_eq!(
+                    known,
+                    "QV, VQE_L, GHZ, HLF, QFT, Adder, QAOA, VQE_F, Multiplier, QFT_64, QAOA_LR"
+                );
             }
             other => panic!("expected UnknownBenchmark, got {other:?}"),
         }

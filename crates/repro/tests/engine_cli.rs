@@ -2,7 +2,7 @@
 //! `engine` and `sweep` CLIs reject counts above their documented maxima,
 //! at parse time: the process fails before any job runs (so no test here
 //! sizes work by a large value), names the flag on stderr and prints no
-//! report.
+//! report. Both print their usage on stdout and succeed under `--help`.
 
 use paradrive_repro::sweep::{MAX_ROUTING_SEEDS, MAX_THREADS, MAX_VERIFY_SAMPLES};
 use std::process::{Command, Output};
@@ -34,6 +34,31 @@ fn assert_output_rejected(out: &Output, args: &[&str], flag: &str) {
         "{args:?} printed a report:\n{}",
         String::from_utf8_lossy(&out.stdout)
     );
+}
+
+/// `--help` is a successful run: the usage on stdout, nothing on stderr.
+#[test]
+fn help_prints_the_usage_on_stdout_and_succeeds() {
+    for (bin, name) in [
+        (env!("CARGO_BIN_EXE_engine"), "engine"),
+        (env!("CARGO_BIN_EXE_sweep"), "sweep"),
+    ] {
+        for flag in ["--help", "-h"] {
+            let out = Command::new(bin).arg(flag).output().expect("CLI launches");
+            let stdout = String::from_utf8_lossy(&out.stdout);
+            assert!(out.status.success(), "{name} {flag} failed:\n{stdout}");
+            assert!(
+                stdout.starts_with(&format!("usage: {name} ")),
+                "{name} {flag} printed no usage:\n{stdout}"
+            );
+            assert!(stdout.contains("limits: --threads at most"), "{stdout}");
+            assert!(
+                out.stderr.is_empty(),
+                "{name} {flag} wrote to stderr:\n{}",
+                String::from_utf8_lossy(&out.stderr)
+            );
+        }
+    }
 }
 
 #[test]

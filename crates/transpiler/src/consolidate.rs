@@ -10,15 +10,18 @@
 //!
 //! A block's Weyl point is a pure function of its unitary's bits, and
 //! routed circuits repeat blocks exactly (every bare SWAP, every CX on a
-//! fresh pair), so one [`consolidate`] call extracts each distinct block
-//! once and reuses the point for its bit-identical repeats.
+//! fresh pair), so consolidation extracts each distinct block once and
+//! reuses the point for its bit-identical repeats. [`consolidate`] keeps
+//! those points for one call; [`consolidate_with`] takes a [`WeylMemo`]
+//! the caller keeps across many circuits (the engine keeps one per
+//! worker for a whole run).
 
 use crate::TranspileError;
 use paradrive_circuit::{Circuit, Op};
 use paradrive_linalg::{paulis, CMat};
 use paradrive_weyl::magic::coordinates;
 use paradrive_weyl::WeylPoint;
-use std::collections::hash_map::{Entry, HashMap};
+use std::collections::HashMap;
 
 /// One element of a consolidated circuit.
 #[derive(Debug, Clone)]
@@ -58,6 +61,43 @@ impl Item {
     }
 }
 
+/// Weyl points already extracted, keyed by the exact bits of each
+/// block's unitary: blocks that differ only in the sign of a zero keep
+/// their own points. A memo only saves extractions; consolidating through
+/// a warm memo gives the same items, bit for bit, as a fresh one.
+#[derive(Debug, Default)]
+pub struct WeylMemo {
+    points: HashMap<[u64; 32], WeylPoint>,
+}
+
+impl WeylMemo {
+    /// The most points a memo holds. A full memo still answers for the
+    /// blocks it holds but adds no more, so one kept for a long run stays
+    /// near a megabyte however many distinct blocks the run meets.
+    const CAPACITY: usize = 1 << 11;
+
+    /// True before the first extraction.
+    pub fn is_empty(&self) -> bool {
+        self.points.is_empty()
+    }
+
+    /// The point of a 4×4 block, extracted once per distinct bit pattern.
+    fn point(&mut self, u: &CMat) -> Result<WeylPoint, TranspileError> {
+        let extract = || coordinates(u).map_err(|e| TranspileError::Weyl(e.to_string()));
+        let Some(key) = bits(u) else {
+            return extract();
+        };
+        if let Some(point) = self.points.get(&key) {
+            return Ok(*point);
+        }
+        let point = extract()?;
+        if self.points.len() < Self::CAPACITY {
+            self.points.insert(key, point);
+        }
+        Ok(point)
+    }
+}
+
 /// Consolidates a routed circuit into blocks and 1Q runs.
 ///
 /// # Errors
@@ -65,6 +105,19 @@ impl Item {
 /// Returns [`TranspileError::Weyl`] if a block's coordinates cannot be
 /// extracted (cannot happen for unitary IR gates).
 pub fn consolidate(circuit: &Circuit) -> Result<Vec<Item>, TranspileError> {
+    consolidate_with(circuit, &mut WeylMemo::default())
+}
+
+/// [`consolidate`] through a caller-kept [`WeylMemo`]: blocks whose
+/// exact bits the memo has seen reuse its point, and new ones are added.
+///
+/// # Errors
+///
+/// Exactly as [`consolidate`].
+pub fn consolidate_with(
+    circuit: &Circuit,
+    memo: &mut WeylMemo,
+) -> Result<Vec<Item>, TranspileError> {
     let n = circuit.n_qubits();
     // Open 2Q blocks keyed by qubit pair, plus per-qubit membership.
     struct Open {
@@ -78,8 +131,6 @@ pub fn consolidate(circuit: &Circuit) -> Result<Vec<Item>, TranspileError> {
     // Pending standalone 1Q runs.
     let mut pending_1q: Vec<Option<(CMat, bool)>> = vec![None; n];
     let mut out: Vec<Item> = Vec::new();
-    // Points extracted so far, keyed by the exact bits of the block.
-    let mut extracted: HashMap<[u64; 32], WeylPoint> = HashMap::new();
 
     // Emission preserves program order well enough for scheduling because
     // items are re-ordered per-qubit there anyway.
@@ -97,14 +148,7 @@ pub fn consolidate(circuit: &Circuit) -> Result<Vec<Item>, TranspileError> {
         }
         qubit_block[blk.a] = None;
         qubit_block[blk.b] = None;
-        let extract = || coordinates(&blk.u).map_err(|e| TranspileError::Weyl(e.to_string()));
-        let point = match bits(&blk.u) {
-            Some(key) => match extracted.entry(key) {
-                Entry::Occupied(hit) => *hit.get(),
-                Entry::Vacant(miss) => *miss.insert(extract()?),
-            },
-            None => extract()?,
-        };
+        let point = memo.point(&blk.u)?;
         out.push(Item::Block {
             a: blk.a,
             b: blk.b,
@@ -418,6 +462,109 @@ mod tests {
         );
         assert_eq!(points[10], plain);
         assert_eq!(points[12], signed);
+    }
+
+    /// Every field of two item streams, floats compared by their bits.
+    fn assert_items_bit_identical(got: &[Item], want: &[Item]) {
+        let unitary_bits = |u: &CMat| -> Vec<(u64, u64)> {
+            u.as_slice()
+                .iter()
+                .map(|z| (z.re.to_bits(), z.im.to_bits()))
+                .collect()
+        };
+        assert_eq!(got.len(), want.len());
+        for (g, w) in got.iter().zip(want) {
+            match (g, w) {
+                (
+                    Item::OneQRun {
+                        q,
+                        unitary,
+                        virtual_only,
+                    },
+                    Item::OneQRun {
+                        q: q2,
+                        unitary: u2,
+                        virtual_only: v2,
+                    },
+                ) => {
+                    assert_eq!((q, virtual_only), (q2, v2));
+                    assert_eq!(unitary_bits(unitary), unitary_bits(u2));
+                }
+                (
+                    Item::Block {
+                        a,
+                        b,
+                        unitary,
+                        point,
+                        merged_gates,
+                    },
+                    Item::Block {
+                        a: a2,
+                        b: b2,
+                        unitary: u2,
+                        point: p2,
+                        merged_gates: m2,
+                    },
+                ) => {
+                    assert_eq!((a, b, merged_gates), (a2, b2, m2));
+                    assert_eq!(unitary_bits(unitary), unitary_bits(u2));
+                    assert_eq!(
+                        [point.c1, point.c2, point.c3].map(f64::to_bits),
+                        [p2.c1, p2.c2, p2.c3].map(f64::to_bits)
+                    );
+                }
+                other => panic!("item kinds differ: {other:?}"),
+            }
+        }
+    }
+
+    /// A memo warmed by one circuit changes nothing about the next: the
+    /// items come out exactly as a fresh `consolidate` gives them, even
+    /// when the warm memo holds the signed-zero twin of a block (`CZ`'s
+    /// last entry is `-1 - 0i`, the twin's `-1 + 0i`; they compare `==`
+    /// but extract different points).
+    #[test]
+    fn a_warm_memo_gives_the_items_of_a_fresh_consolidate() {
+        let cz = TwoQ::Cz.unitary();
+        let mut signed = cz.clone();
+        signed[(3, 3)].im = -signed[(3, 3)].im;
+        let circuit = |blocks: &[&CMat]| {
+            let mut c = Circuit::new(3);
+            c.push_1q(OneQ::H, 2);
+            for u in blocks {
+                c.push_2q(TwoQ::Unitary(Box::new((*u).clone())), 0, 1);
+                c.push_2q(TwoQ::Cx, 1, 2);
+                c.push_1q(OneQ::Rz(0.3), 0);
+            }
+            c.push_2q(TwoQ::Swap, 0, 2);
+            c
+        };
+        let a = circuit(&[&signed, &signed]);
+        let b = circuit(&[&cz, &signed, &cz]);
+        for (warm, next) in [(&a, &b), (&b, &a)] {
+            let mut memo = WeylMemo::default();
+            consolidate_with(warm, &mut memo).unwrap();
+            assert!(!memo.is_empty());
+            let through_memo = consolidate_with(next, &mut memo).unwrap();
+            assert_items_bit_identical(&through_memo, &consolidate(next).unwrap());
+        }
+    }
+
+    /// A full memo adds no more points and still gives a fresh
+    /// consolidate's items.
+    #[test]
+    fn a_full_memo_stops_growing_and_keeps_the_items() {
+        let mut c = Circuit::new(3);
+        for k in 0..WeylMemo::CAPACITY + 50 {
+            c.push_2q(TwoQ::CPhase(1.0 + k as f64 * 1e-3), 0, 1);
+            c.push_2q(TwoQ::Cx, 1, 2);
+        }
+        let mut memo = WeylMemo::default();
+        let items = consolidate_with(&c, &mut memo).unwrap();
+        assert_eq!(memo.points.len(), WeylMemo::CAPACITY);
+        assert_items_bit_identical(&items, &consolidate(&c).unwrap());
+        assert_items_bit_identical(&consolidate_with(&c, &mut memo).unwrap(), &items);
+        assert_eq!(memo.points.len(), WeylMemo::CAPACITY);
     }
 
     #[test]
