@@ -266,12 +266,19 @@ impl Circuit {
         let mut level = vec![0usize; self.n_qubits];
         let mut depth = 0;
         for op in &self.ops {
-            let qs = op.qubits();
-            let start = qs.iter().map(|&q| level[q]).max().unwrap_or(0);
-            for &q in &qs {
-                level[q] = start + 1;
-            }
-            depth = depth.max(start + 1);
+            let layer = match *op {
+                Op::OneQ { q, .. } => {
+                    level[q] += 1;
+                    level[q]
+                }
+                Op::TwoQ { a, b, .. } => {
+                    let layer = level[a].max(level[b]) + 1;
+                    level[a] = layer;
+                    level[b] = layer;
+                    layer
+                }
+            };
+            depth = depth.max(layer);
         }
         depth
     }
@@ -357,6 +364,45 @@ mod tests {
         c.push_2q(TwoQ::Cx, 0, 1); // layer 2
         c.push_1q(OneQ::X, 2); // layer 1 on q2
         assert_eq!(c.depth(), 2);
+    }
+
+    /// The depth algorithm as it stood before `depth` matched on [`Op`]:
+    /// each op lands one layer above the latest of the qubits it touches.
+    fn reference_depth(c: &Circuit) -> usize {
+        let mut level = vec![0usize; c.n_qubits()];
+        let mut depth = 0;
+        for op in c.ops() {
+            let qs = op.qubits();
+            let start = qs.iter().map(|&q| level[q]).max().unwrap_or(0);
+            for &q in &qs {
+                level[q] = start + 1;
+            }
+            depth = depth.max(start + 1);
+        }
+        depth
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        /// `depth` gives the reference algorithm's integer on random
+        /// circuits of 1–9 qubits and 0–80 ops, mixing 1Q and 2Q gates.
+        #[test]
+        fn depth_matches_the_reference(n in 1usize..10, len in 0usize..81, seed in 0u64..u64::MAX) {
+            use rand::{Rng, SeedableRng};
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let mut c = Circuit::new(n);
+            for _ in 0..len {
+                let a = rng.gen_range(0..n);
+                let b = rng.gen_range(0..n);
+                if a == b || rng.gen_range(0..3) == 0 {
+                    c.push_1q(OneQ::H, a);
+                } else {
+                    c.push_2q(TwoQ::Cx, a, b);
+                }
+            }
+            proptest::prop_assert_eq!(c.depth(), reference_depth(&c));
+        }
     }
 
     #[test]

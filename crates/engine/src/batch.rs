@@ -350,18 +350,18 @@ impl EngineConfig {
     /// seed and, at [`VerifyLevel::Sampled`], one sample unit per
     /// Monte-Carlo sample.
     pub fn workers_for(&self, batch: &Batch) -> usize {
-        self.pool_workers(batch, 0)
+        self.pool_workers(batch.len())
     }
 
-    /// [`EngineConfig::workers_for`] a pool that also re-scores
-    /// `rescores` kept routes, one unit each (a fleet epoch).
-    pub(crate) fn pool_workers(&self, batch: &Batch, rescores: usize) -> usize {
+    /// [`EngineConfig::workers_for`] a pool that may route `jobs` jobs (a
+    /// fleet's `(epoch, job)` pairs, each routed or re-scored in one
+    /// unit).
+    pub(crate) fn pool_workers(&self, jobs: usize) -> usize {
         let mut per_job = self.routing_seeds.max(1) as usize;
         if self.verify == VerifyLevel::Sampled {
             per_job += self.verify_samples.max(1) as usize;
         }
-        self.effective_threads()
-            .min((batch.len() * per_job + rescores).max(1))
+        self.effective_threads().min((jobs * per_job).max(1))
     }
 }
 

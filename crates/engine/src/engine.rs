@@ -1,33 +1,38 @@
-//! The scoped worker pool that drives a [`Batch`] through the pipeline.
+//! The scoped worker pool that drives a [`Batch`] — or a whole fleet —
+//! through the pipeline.
 //!
-//! Work is split into two kinds of unit. *Routing units* — one per
-//! `(job, seed)` pair — let best-of-N routing inside a single circuit fan
-//! across workers just like distinct circuits do; workers pull them from a
-//! shared atomic cursor. The worker that completes a job's **last**
-//! routing unit immediately runs that job's back half (best-seed
-//! selection → consolidate → verify → schedule → fidelity), so there is
-//! no barrier between phases and no idle tail while one late circuit
-//! finishes routing.
+//! A pool run has a table of *route jobs*: one per batch job, or one per
+//! `(epoch, job)` pair of a fleet (see [`crate::policy`]). Work is split
+//! into units. *Routing units* — one per `(route job, seed)` pair — let
+//! best-of-N routing inside a single circuit fan across workers just like
+//! distinct circuits do; the initial route jobs' units sit on a shared
+//! atomic cursor. The worker that completes a job's **last** routing unit
+//! immediately runs that job's back half (best-seed selection →
+//! consolidate → verify → schedule → fidelity), so there is no barrier
+//! between phases and no idle tail while one late circuit finishes
+//! routing.
 //!
-//! A pool run may also carry *re-score units* after the routing units,
-//! one per kept route (the fleet's kept jobs, see [`crate::policy`]):
-//! each scores its route's consolidated items under a new calibration,
-//! under a `schedule` span, and fills the back half's idle tail.
-//!
-//! At [`VerifyLevel::Sampled`] the back half only *prepares* the job's
-//! check ([`PreparedCheck`]) and then publishes its K Monte-Carlo samples
-//! as *sample units*, which any worker takes ahead of routing units. The
-//! worker that finishes a job's last sample folds the verdict and hands
-//! the report to the sink. A worker with nothing runnable waits on a
-//! condition variable while some job is still routing or preparing (its
-//! samples may yet come), and returns once none is.
+//! A finished route job goes to the run's sink on its worker, and the
+//! sink may hand back the work the job's completion makes ready
+//! ([`Next`]): a later route job's routing units, or *re-score units*,
+//! each scoring a kept route's consolidated items under a new calibration
+//! under a `schedule` span (the fleet's kept epochs). That work, and at
+//! [`VerifyLevel::Sampled`] each job's K Monte-Carlo *sample units*, is
+//! published to one queue that workers take from ahead of the cursor. The
+//! back half of a sampled job only *prepares* its check
+//! ([`PreparedCheck`]); the worker that finishes the job's last sample
+//! folds the verdict and hands the report on. A worker with nothing
+//! runnable waits on a condition variable while some route job is still
+//! open — routing, preparing or sampling, so it may yet publish work —
+//! and returns once none is. So a fleet runs as independent per-job
+//! chains on one set of workers, with no barrier between epochs.
 //!
 //! Work a run would otherwise repeat is done once. The noise-aware
 //! routing oracle (an all-pairs effective-distance solve) is built inside
 //! the pool by the first routing unit that needs it, once per distinct
-//! `(map, calibration)` pair: jobs holding the same two [`Arc`]s share
-//! it. Consolidation extracts Weyl points through one [`WeylMemo`] per
-//! worker slot ([`WeylMemos`]), kept by the caller for the whole run.
+//! `(map, calibration)` pair: route jobs holding the same two [`Arc`]s
+//! share it. Each worker consolidates through its own [`WeylMemo`], kept
+//! for the whole run.
 //!
 //! Determinism: every routing unit seeds its own `StdRng` from the unit's
 //! seed value, best-seed selection is "strictly fewer SWAPs, earliest seed
@@ -42,8 +47,10 @@
 
 use crate::batch::{Batch, Costing, EngineConfig};
 use crate::cache::{CachedCostModel, DecompositionCache};
+use crate::policy::Adopted;
 use crate::report::{BatchSummary, CircuitReport, EngineReport};
 use crate::EngineError;
+use paradrive_circuit::Circuit;
 use paradrive_core::flow::{evaluate_with_calibration, BenchmarkResult};
 use paradrive_core::rules::{BaselineSqrtIswap, ParallelDriveRules, SynthesizedParallelDrive};
 use paradrive_obs::{Counter, Recorder, Trace};
@@ -57,7 +64,7 @@ use paradrive_transpiler::TranspileError;
 use paradrive_verify::{
     Physical, PreparedCheck, RegisterPair, UnitOutcome, Verification, VerifyError, VerifyLevel,
 };
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
 use std::time::{Duration, Instant};
@@ -68,77 +75,60 @@ use std::time::{Duration, Instant};
 /// call it concurrently.
 pub type JobSink<'a> = dyn Fn(usize, CircuitReport) + Sync + 'a;
 
-/// The worker pool's own completion sink: a [`JobSink`] that also
-/// receives the job's consolidated items, so a caller that re-scores the
-/// same route later (the fleet policy) never consolidates it again.
-pub(crate) type ItemSink<'a> = dyn Fn(usize, CircuitReport, Vec<Item>) + Sync + 'a;
+/// The worker pool's own completion sink: called on the worker that
+/// finished a route job, with the job's index, report and consolidated
+/// items (so a fleet that re-scores the same route later never
+/// consolidates it again). It returns the work the job's completion makes
+/// ready.
+pub(crate) type FinishSink<'a> = dyn Fn(usize, CircuitReport, Vec<Item>) -> Vec<Next> + Sync + 'a;
 
-/// The sink of a pool's re-score units: called with the unit's index in
-/// [`PoolWork::rescores`] and its result, on the worker that scored it.
-pub(crate) type RescoreSink<'a> = dyn Fn(usize, BenchmarkResult) + Sync + 'a;
+/// The sink of a re-score unit: called on the worker that scored it, with
+/// the route job whose slot it fills, the kept route and the result.
+pub(crate) type RescoreSink<'a> = dyn Fn(usize, Arc<Adopted>, BenchmarkResult) + Sync + 'a;
 
-/// A kept route re-scored as one pool unit: its consolidated items and
-/// SWAP count, scored under `cal` (the fleet's kept jobs).
-pub(crate) struct Rescore<'a> {
-    /// The unit's span key, which also ranks its failure among the run's.
-    pub(crate) key: usize,
-    /// The job name, the span label and the result's name.
-    pub(crate) name: &'a str,
-    /// The route's consolidated items.
-    pub(crate) items: &'a [Item],
-    /// SWAPs the route inserted.
-    pub(crate) swaps: usize,
-    /// Width of the device the route runs on.
-    pub(crate) device_qubits: usize,
-    /// Width of the logical circuit.
-    pub(crate) logical_qubits: usize,
-    /// The calibration to score under.
-    pub(crate) cal: &'a Calibration,
+/// Work a finished route job makes ready; the pool publishes it to its
+/// queue.
+pub(crate) enum Next {
+    /// Route job `r`, one routing unit per seed.
+    Route(usize),
+    /// Route job `r`'s slot, filled by re-scoring a kept route under the
+    /// job's calibration instead of routing.
+    Rescore(usize, Arc<Adopted>),
 }
 
-/// Everything one pool run does: route and finish every job of `batch`,
-/// then re-score every kept route in `rescores`.
+/// One job a pool run may route: a batch job, or a fleet job at one
+/// epoch.
+pub(crate) struct RouteJob<'a> {
+    /// The job name, the span label and the report's name.
+    pub(crate) name: &'a str,
+    /// The logical circuit.
+    pub(crate) circuit: &'a Circuit,
+    /// The device it routes on.
+    pub(crate) map: &'a CouplingMap,
+    /// The calibration it routes and scores under, if any.
+    pub(crate) cal: Option<&'a Calibration>,
+    /// Span key: the batch job, or the fleet job.
+    pub(crate) key: usize,
+    /// The fleet epoch (0 in a batch), which picks its counters' prefix.
+    pub(crate) epoch: usize,
+}
+
+/// Everything one pool run does. A failure ranks by its route job's
+/// index, so jobs are listed in the order errors should be reported in.
 pub(crate) struct PoolWork<'a> {
-    /// The jobs to route.
-    pub(crate) batch: &'a Batch,
-    /// Span key of each batch job, which also ranks its failure; `None`
-    /// keys job `i` as `i`.
-    pub(crate) keys: Option<&'a [usize]>,
+    /// Every job the run may route.
+    pub(crate) jobs: Vec<RouteJob<'a>>,
+    /// Jobs `0..initial` route from the start; a later one routes only
+    /// once a finished job publishes it.
+    pub(crate) initial: usize,
+    /// Counter-name prefix per epoch (`[""]` for a batch).
+    pub(crate) prefixes: Vec<String>,
     /// Where each routed job's report and items go.
-    pub(crate) finished: &'a ItemSink<'a>,
-    /// Kept routes to re-score, one unit each, after the routing units.
-    pub(crate) rescores: &'a [Rescore<'a>],
+    pub(crate) finished: &'a FinishSink<'a>,
     /// Where each re-score's result goes.
     pub(crate) rescored: &'a RescoreSink<'a>,
-}
-
-/// One [`WeylMemo`] per worker slot, kept by the caller for a whole run
-/// (every job of a batch, every epoch of a fleet). A worker takes its
-/// slot's memo when it starts and puts it back when it returns, so a
-/// consolidation never takes a lock another worker could hold. A memo only
-/// saves Weyl extractions; which worker's memo answers never changes an
-/// item, so a poisoned slot still holds a usable memo.
-pub(crate) struct WeylMemos(Vec<Mutex<WeylMemo>>);
-
-impl WeylMemos {
-    /// Memos for up to `slots` workers.
-    pub(crate) fn new(slots: usize) -> Self {
-        WeylMemos((0..slots).map(|_| Mutex::default()).collect())
-    }
-
-    /// Takes worker `slot`'s memo (a fresh one past the last slot).
-    fn take(&self, slot: usize) -> WeylMemo {
-        self.0.get(slot).map_or_else(WeylMemo::default, |memo| {
-            std::mem::take(&mut *memo.lock().unwrap_or_else(|e| e.into_inner()))
-        })
-    }
-
-    /// Puts worker `slot`'s memo back for the run's next pool.
-    fn put(&self, slot: usize, memo: WeylMemo) {
-        if let Some(cell) = self.0.get(slot) {
-            *cell.lock().unwrap_or_else(|e| e.into_inner()) = memo;
-        }
-    }
+    /// Called once every worker has returned, also when one panicked.
+    pub(crate) drained: &'a (dyn Fn() + Sync + 'a),
 }
 
 /// Runs every job in `batch` and returns the aggregated report.
@@ -231,9 +221,8 @@ pub fn run_batch_streaming(
 ///
 /// The `(baseline, optimized)` cache pair — when given — supersedes
 /// [`EngineConfig::cache`], and the caches outlive the call: a driver that
-/// replays many batches (the fleet policy loop re-transpiling across
-/// calibration epochs) shares one warm pair across all of them instead of
-/// rebuilding cold caches per batch. Cached and uncached runs produce
+/// replays many batches shares one warm pair across all of them instead
+/// of rebuilding cold caches per batch. Cached and uncached runs produce
 /// bit-identical reports, so sharing only changes wall clock, never
 /// results; the returned [`BatchSummary`] carries the pair's *cumulative*
 /// stats.
@@ -247,91 +236,111 @@ pub fn run_batch_streaming_with_caches(
     sink: &JobSink<'_>,
     caches: Option<(&DecompositionCache, &DecompositionCache)>,
 ) -> Result<BatchSummary, EngineError> {
+    let jobs = (batch.jobs().iter().enumerate())
+        .map(|(i, job)| RouteJob {
+            name: &job.name,
+            circuit: &job.circuit,
+            map: batch.map_for(i),
+            cal: job.calibration(),
+            key: i,
+            epoch: 0,
+        })
+        .collect();
     let work = PoolWork {
-        batch,
-        keys: None,
-        finished: &|job, report, _items| sink(job, report),
-        rescores: &[],
-        rescored: &|_, _| {},
+        jobs,
+        initial: batch.len(),
+        prefixes: vec![String::new()],
+        finished: &|job, report, _items| {
+            sink(job, report);
+            Vec::new()
+        },
+        rescored: &|_, _, _| {},
+        drained: &|| {},
     };
-    run_pool(
-        &work,
-        config,
-        caches,
-        &WeylMemos::new(config.workers_for(batch)),
-    )
+    run_pool(&work, config, caches, || {})
 }
 
 /// The worker pool behind every entry point: runs `work` (see
-/// [`run_batch_streaming_with_caches`] for the contract), consolidating
-/// through `memos`.
+/// [`run_batch_streaming_with_caches`] for the contract), and `on_caller`
+/// on the calling thread while the workers run.
 ///
 /// # Errors
 ///
-/// The failure with the lowest key among the batch's jobs and the
-/// re-score units: for a plain batch, the first failing job in
-/// submission order.
+/// The failure of the lowest-indexed route job, routed or re-scored: for
+/// a plain batch, the first failing job in submission order.
 pub(crate) fn run_pool(
     work: &PoolWork<'_>,
     config: &EngineConfig,
     caches: Option<(&DecompositionCache, &DecompositionCache)>,
-    memos: &WeylMemos,
+    on_caller: impl FnOnce(),
 ) -> Result<BatchSummary, EngineError> {
     let started = Instant::now();
-    let batch = work.batch;
     let seeds = config.routing_seeds.max(1) as usize;
-    let n_jobs = batch.len();
-    let routing_units = n_jobs * seeds;
-    let threads = config.pool_workers(batch, work.rescores.len());
+    let n_jobs = work.jobs.len();
+    let threads = config.pool_workers(n_jobs);
 
     // Jobs on the same (map, calibration) pair, by `Arc` identity, share
     // one validation and one noise-aware routing oracle, built by the
-    // first routing unit that needs them.
-    let mut pairs: Vec<(&CouplingMap, &Calibration)> = Vec::new();
-    let noise_pair: Vec<Option<usize>> = (0..n_jobs)
+    // first routing unit that needs them and counted in the epoch of the
+    // first job on the pair.
+    let mut pair_epochs: Vec<usize> = Vec::new();
+    let mut pairs: HashMap<(*const CouplingMap, *const Calibration), usize> = HashMap::new();
+    let noise_pair: Vec<Option<usize>> = (work.jobs.iter())
         .map(|job| {
-            let (map, cal) = (batch.map_for(job), batch.calibration_for(job)?);
-            let known = pairs
-                .iter()
-                .position(|&(m, c)| std::ptr::eq(m, map) && std::ptr::eq(c, cal));
-            Some(known.unwrap_or_else(|| {
-                pairs.push((map, cal));
-                pairs.len() - 1
+            let key = (
+                job.map as *const CouplingMap,
+                job.cal? as *const Calibration,
+            );
+            Some(*pairs.entry(key).or_insert_with(|| {
+                pair_epochs.push(job.epoch);
+                pair_epochs.len() - 1
             }))
         })
         .collect();
 
-    // The batch's own recorder, always on: per-stage spans are cheap next
+    // The run's own recorder, always on: per-stage spans are cheap next
     // to millisecond-scale jobs, and the drained trace is both the source
     // of the per-job route/pipeline times and the `--trace` export. The
     // process-global `paradrive_obs::global()` recorder is untouched here
     // — it stays opt-in for free-floating hot paths (simulator kernels).
     let rec = Recorder::new();
-    let split_samples = config.verify == VerifyLevel::Sampled;
+    let per_epoch = |name: &str| -> Vec<String> {
+        (work.prefixes.iter())
+            .map(|prefix| format!("{prefix}{name}"))
+            .collect()
+    };
     let shared = Shared {
         work,
         config,
         noise_pair,
-        oracles: pairs.iter().map(|_| OnceLock::new()).collect(),
+        oracles: pair_epochs.iter().map(|_| OnceLock::new()).collect(),
+        pair_epochs,
         seeds,
         scorer: Scorer::new(config, caches),
         next_unit: AtomicUsize::new(0),
         units_left: (0..n_jobs).map(|_| AtomicUsize::new(seeds)).collect(),
-        routed: (0..routing_units).map(|_| Mutex::new(None)).collect(),
+        routed: (0..n_jobs).map(|_| Mutex::default()).collect(),
         failures: (0..n_jobs).map(|_| Mutex::new(None)).collect(),
-        rescore_failures: work.rescores.iter().map(|_| Mutex::new(None)).collect(),
-        split_samples,
-        samples: Mutex::new(SampleQueue {
-            ready: VecDeque::new(),
-            open: if split_samples { n_jobs } else { 0 },
+        queued: config.verify == VerifyLevel::Sampled || n_jobs > work.initial,
+        queue: Mutex::new(Queue {
+            samples: VecDeque::new(),
+            later: work.prefixes.iter().map(|_| VecDeque::new()).collect(),
+            open: work.initial,
+            abort: false,
         }),
-        sample_ready: Condvar::new(),
-        seed_attempts: rec.counter("route.seed_attempts"),
-        oracle_builds: rec.counter("route.oracles"),
+        ready: Condvar::new(),
+        live: AtomicUsize::new(threads),
+        seed_attempts: (per_epoch("route.seed_attempts").iter())
+            .map(|name| rec.counter(name))
+            .collect(),
+        oracle_builds: (per_epoch("route.oracles").iter())
+            .map(|name| rec.counter(name))
+            .collect(),
+        verify_samples: per_epoch("verify.samples"),
         rec,
     };
 
-    if routing_units + work.rescores.len() > 0 {
+    if work.initial * seeds > 0 {
         // Join each worker explicitly. The scope's own join returns once a
         // worker's closure is done, before its OS thread has exited; the
         // next batch's workers can then start while these still hold
@@ -341,35 +350,30 @@ pub(crate) fn run_pool(
         // 12–15 MB; joining keeps it flat from batch to batch.
         std::thread::scope(|scope| {
             let workers: Vec<_> = (0..threads)
-                .map(|slot| {
+                .map(|_| {
                     let shared = &shared;
-                    scope.spawn(move || {
-                        let mut memo = memos.take(slot);
-                        shared.run_worker(&mut memo);
-                        memos.put(slot, memo);
-                    })
+                    scope.spawn(move || shared.run_worker())
                 })
                 .collect();
+            on_caller();
             for worker in workers {
                 if let Err(panic) = worker.join() {
                     std::panic::resume_unwind(panic);
                 }
             }
         });
+    } else {
+        (work.drained)();
+        on_caller();
     }
 
-    let take =
-        |slot: &Mutex<Option<TranspileError>>| slot.lock().expect("failure slot poisoned").take();
-    let job_failures = (shared.failures.iter().enumerate())
-        .filter_map(|(j, slot)| Some((shared.key(j), batch.jobs()[j].name.as_str(), take(slot)?)));
-    let rescore_failures = (work.rescores.iter().zip(&shared.rescore_failures))
-        .filter_map(|(r, slot)| Some((r.key as u64, r.name, take(slot)?)));
-    if let Some((_, job, source)) = job_failures
-        .chain(rescore_failures)
-        .min_by_key(|(key, ..)| *key)
-    {
+    let failure = (shared.failures.iter().enumerate()).find_map(|(job, slot)| {
+        let failed = slot.lock().expect("failure slot poisoned").take();
+        Some((job, failed?))
+    });
+    if let Some((job, source)) = failure {
         return Err(EngineError::Job {
-            job: job.to_string(),
+            job: work.jobs[job].name.to_string(),
             source,
         });
     }
@@ -516,48 +520,75 @@ struct Shared<'a> {
     /// or the calibration-validation error every routing unit of the
     /// pair's jobs reports.
     oracles: Vec<OnceLock<Result<Option<NoiseOracle>, TranspileError>>>,
+    /// Per pair, the epoch whose `route.oracles` counts its build.
+    pair_epochs: Vec<usize>,
     seeds: usize,
     scorer: Scorer<'a>,
-    /// Cursor over the flattened `(job, seed)` routing units, then the
-    /// re-score units.
+    /// Cursor over the initial jobs' flattened `(job, seed)` routing
+    /// units.
     next_unit: AtomicUsize,
     /// Routing units still outstanding per job; the worker that drops a
     /// job's counter to zero owns its back half.
     units_left: Vec<AtomicUsize>,
-    /// Routing results, indexed `job * seeds + seed`.
-    routed: Vec<Mutex<Option<Result<Routed, TranspileError>>>>,
-    /// Per-job error slots; successful reports go straight to the sink.
+    /// Routing results per job, one slot per seed, allocated when the
+    /// job's first seed lands and emptied by its back half: a fleet holds
+    /// slots for the jobs it is routing, not for its whole timeline.
+    routed: Vec<Mutex<SeedRoutes>>,
+    /// Per-job error slots, routed or re-scored; successful reports go
+    /// straight to the sinks.
     failures: Vec<Mutex<Option<TranspileError>>>,
-    /// Per-re-score error slots.
-    rescore_failures: Vec<Mutex<Option<TranspileError>>>,
-    /// Whether sampled checks run as sample units ([`VerifyLevel::Sampled`]).
-    /// Otherwise the sample queue is never touched and workers never wait.
-    split_samples: bool,
-    /// Sample units ready to run, and the jobs that may still publish some.
-    samples: Mutex<SampleQueue<'a>>,
-    /// Signalled when sample units are published or the last open job
-    /// closes.
-    sample_ready: Condvar,
-    /// Routing units executed (one per `(job, seed)` pair).
-    seed_attempts: Counter,
+    /// Whether any unit can be published: sample units (at
+    /// [`VerifyLevel::Sampled`]), or jobs past the initial ones. Otherwise
+    /// the queue is never touched and workers never wait.
+    queued: bool,
+    /// Published units ready to run, and the jobs that may still publish
+    /// some.
+    queue: Mutex<Queue<'a>>,
+    /// Signalled when units are published, when the last open job
+    /// closes, and when a worker panics.
+    ready: Condvar,
+    /// Workers that have not returned yet.
+    live: AtomicUsize,
+    /// Routing units executed (one per `(job, seed)` pair), per epoch.
+    seed_attempts: Vec<Counter>,
     /// Noise-aware routing oracles built (one per `(map, calibration)`
-    /// pair routed noise-aware).
-    oracle_builds: Counter,
+    /// pair routed noise-aware), per epoch.
+    oracle_builds: Vec<Counter>,
+    /// The `verify.samples` counter's name, per epoch.
+    verify_samples: Vec<String>,
     /// The pool-scoped recorder every stage span and counter lands in;
-    /// spans are keyed by [`Shared::key`] so `run_batch` can rebuild
+    /// spans are keyed by [`RouteJob::key`] so `run_batch` can rebuild
     /// per-job times from the drained trace.
     rec: Recorder,
 }
 
-/// The pool's sample units and the count that tells an idle worker
+/// The pool's published units and the count that tells an idle worker
 /// whether to wait for more.
-struct SampleQueue<'a> {
-    /// Runnable sample units: `(sample, job)`, in publication order.
-    ready: VecDeque<(usize, Arc<SampledJob<'a>>)>,
-    /// Jobs still routing or preparing, whose sample units may yet be
-    /// published. A worker with nothing runnable waits while this is
-    /// non-zero and returns once it is zero.
+struct Queue<'a> {
+    /// Sample units, in publication order. They run first: each finishes
+    /// a job already under way.
+    samples: VecDeque<Unit<'a>>,
+    /// Routing and re-score units, per epoch in publication order. They
+    /// run once the cursor's epoch-0 units are all taken, lowest epoch
+    /// first, so epochs complete — and are emitted — in order.
+    later: Vec<VecDeque<Unit<'a>>>,
+    /// Jobs started but not yet finished or failed — routing, preparing
+    /// or sampling — which may yet publish units. A worker with nothing
+    /// runnable waits while this is non-zero and returns once it is zero.
     open: usize,
+    /// Set when a worker panics: its job will never close, so no worker
+    /// waits any more.
+    abort: bool,
+}
+
+/// A published unit of pool work.
+enum Unit<'a> {
+    /// A flattened `(job, seed)` routing unit.
+    Route(usize),
+    /// Job `r`'s slot, re-scored from a kept route.
+    Rescore(usize, Arc<Adopted>),
+    /// Sample `k` of a job's sampled check.
+    Sample(usize, Arc<SampledJob<'a>>),
 }
 
 /// A job whose check runs as sample units: the prepared check every unit
@@ -576,143 +607,195 @@ struct Folding {
     report: Option<(CircuitReport, Vec<Item>)>,
 }
 
+/// One job's routing results, a slot per seed.
+type SeedRoutes = Vec<Option<Result<Routed, TranspileError>>>;
+
 /// A finished back half: the job's report and consolidated items, and
 /// its sampled check when the verdict is still to come from sample units.
 type FinishedJob<'a> = (CircuitReport, Vec<Item>, Option<PreparedCheck<'a>>);
 
-/// Closes a job's back half in the sample queue when dropped — also on
-/// unwind, so a panicking back half cannot leave idle workers waiting.
-struct CloseJob<'s, 'a>(&'s Shared<'a>);
+/// Marks a worker's return. A worker that unwinds leaves its job open
+/// forever, so it wakes the waiting workers for good; the last worker to
+/// return tells the caller ([`PoolWork::drained`]).
+struct Exit<'s, 'a>(&'s Shared<'a>);
 
-impl Drop for CloseJob<'_, '_> {
+impl Drop for Exit<'_, '_> {
     fn drop(&mut self) {
-        let mut queue = self.0.queue();
-        queue.open -= 1;
-        if queue.open == 0 {
-            self.0.sample_ready.notify_all();
+        if std::thread::panicking() {
+            self.0.queue().abort = true;
+            self.0.ready.notify_all();
+        }
+        if self.0.live.fetch_sub(1, Ordering::AcqRel) == 1 {
+            (self.0.work.drained)();
         }
     }
 }
 
 impl<'a> Shared<'a> {
-    fn run_worker(&self, memo: &mut WeylMemo) {
-        // At most one register pair per worker, allocated at its first
-        // sample and dropped when it returns.
+    fn run_worker(&self) {
+        let _exit = Exit(self);
+        // One Weyl memo per worker for the whole run, and at most one
+        // register pair, allocated at its first sample.
+        let mut memo = WeylMemo::default();
         let mut registers = RegisterPair::default();
-        let routing_units = self.routed.len();
-        let units = routing_units + self.work.rescores.len();
+        let initial_units = self.work.initial * self.seeds;
         let mut pulling = true;
         loop {
-            if let Some((sample, job)) = self.take_sample(false) {
-                self.run_sample(sample, &job, &mut registers);
+            if let Some(unit) = self.take(false) {
+                self.run(unit, &mut memo, &mut registers);
                 continue;
             }
             if pulling {
                 let unit = self.next_unit.fetch_add(1, Ordering::Relaxed);
-                if unit < routing_units {
-                    self.route_unit(unit, memo);
-                    continue;
-                }
-                if unit < units {
-                    self.rescore_unit(unit - routing_units);
+                if unit < initial_units {
+                    self.route_unit(unit, &mut memo);
                     continue;
                 }
                 pulling = false;
             }
-            match self.take_sample(true) {
-                Some((sample, job)) => self.run_sample(sample, &job, &mut registers),
+            match self.take(true) {
+                Some(unit) => self.run(unit, &mut memo, &mut registers),
                 None => return,
             }
         }
     }
 
-    /// The span key of batch job `job`.
-    fn key(&self, job: usize) -> u64 {
-        self.work.keys.map_or(job, |keys| keys[job]) as u64
+    fn run(&self, unit: Unit<'a>, memo: &mut WeylMemo, registers: &mut RegisterPair) {
+        match unit {
+            Unit::Route(unit) => self.route_unit(unit, memo),
+            Unit::Rescore(job, kept) => self.rescore_unit(job, kept),
+            Unit::Sample(sample, job) => self.run_sample(sample, &job, registers),
+        }
     }
 
-    /// The sample queue's lock. Nothing panics while holding it, but a
-    /// poisoned lock still guards consistent data, so it is taken anyway.
-    fn queue(&self) -> MutexGuard<'_, SampleQueue<'a>> {
-        self.samples.lock().unwrap_or_else(|e| e.into_inner())
+    /// The queue's lock. Nothing panics while holding it, but a poisoned
+    /// lock still guards consistent data, so it is taken anyway.
+    fn queue(&self) -> MutexGuard<'_, Queue<'a>> {
+        self.queue.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// The next runnable sample unit. With `wait`, blocks while none is
-    /// runnable but some job may still publish one; `None` means no
-    /// sample unit will come (always, when samples are not split).
-    fn take_sample(&self, wait: bool) -> Option<(usize, Arc<SampledJob<'a>>)> {
-        if !self.split_samples {
+    /// The next published unit: a sample unit, or, once the cursor has
+    /// run dry (`dry`), any unit, lowest epoch first — blocking while
+    /// none is ready but some job may still publish one. `None` means no
+    /// unit is ready (and, when `dry`, none will come).
+    fn take(&self, dry: bool) -> Option<Unit<'a>> {
+        if !self.queued {
             return None;
         }
         let mut queue = self.queue();
         loop {
-            if let Some(unit) = queue.ready.pop_front() {
+            if let Some(unit) = queue.samples.pop_front() {
                 return Some(unit);
             }
-            if !wait || queue.open == 0 {
+            if !dry {
                 return None;
             }
-            queue = self
-                .sample_ready
-                .wait(queue)
-                .unwrap_or_else(|e| e.into_inner());
+            if let Some(unit) = queue.later.iter_mut().find_map(VecDeque::pop_front) {
+                return Some(unit);
+            }
+            if queue.open == 0 || queue.abort {
+                return None;
+            }
+            queue = self.ready.wait(queue).unwrap_or_else(|e| e.into_inner());
+        }
+    }
+
+    /// Closes a finished or failed job, and wakes the waiting workers
+    /// when `published` or when no job is left open.
+    fn close(&self, mut queue: MutexGuard<'_, Queue<'a>>, published: bool) {
+        queue.open -= 1;
+        let wake = published || queue.open == 0;
+        drop(queue);
+        if wake {
+            self.ready.notify_all();
         }
     }
 
     /// Routes one `(job, seed)` unit; the worker that finishes a job's
     /// last routing unit runs the job's back half right away.
     fn route_unit(&self, unit: usize, memo: &mut WeylMemo) {
-        let job = unit / self.seeds;
-        let seed = (unit % self.seeds) as u64;
-
-        let map = self.work.batch.map_for(job);
+        let (r, seed) = (unit / self.seeds, unit % self.seeds);
+        let job = &self.work.jobs[r];
         let result = {
-            let _span = self.rec.span_full("route", self.key(job), || {
-                format!("{}#{seed}", self.work.batch.jobs()[job].name)
-            });
-            self.seed_attempts.incr(1);
-            self.noise_oracle(job).and_then(|oracle| {
-                route_with_oracle(
-                    &self.work.batch.jobs()[job].circuit,
-                    map,
-                    oracle,
-                    seed,
-                    RouterOptions::default(),
-                )
+            let _span = self
+                .rec
+                .span_full("route", job.key as u64, || format!("{}#{seed}", job.name));
+            self.seed_attempts[job.epoch].incr(1);
+            self.noise_oracle(r).and_then(|oracle| {
+                let seed = seed as u64;
+                route_with_oracle(job.circuit, job.map, oracle, seed, RouterOptions::default())
             })
         };
-        *self.routed[unit].lock().expect("routing slot poisoned") = Some(result);
+        {
+            let mut slots = self.routed[r].lock().expect("routing slots poisoned");
+            slots.resize_with(self.seeds, || None);
+            slots[seed] = Some(result);
+        }
 
-        if self.units_left[job].fetch_sub(1, Ordering::AcqRel) == 1 {
-            let _close = self.split_samples.then(|| CloseJob(self));
-            match self.finish_job(job, memo) {
-                Ok((report, items, None)) => (self.work.finished)(job, report, items),
-                Ok((report, items, Some(check))) => self.publish(job, check, report, items),
-                Err(e) => {
-                    *self.failures[job].lock().expect("failure slot poisoned") = Some(e);
-                }
+        if self.units_left[r].fetch_sub(1, Ordering::AcqRel) == 1 {
+            match self.finish_job(r, memo) {
+                Ok((report, items, None)) => self.deliver(r, report, items),
+                Ok((report, items, Some(check))) => self.publish_samples(r, check, report, items),
+                Err(e) => self.fail(r, e),
             }
         }
     }
 
-    /// Job `job`'s noise-aware routing oracle (`None` when it routes
+    /// Hands job `r`'s finished report to the run's sink, publishes the
+    /// work it makes ready, and closes the job.
+    fn deliver(&self, r: usize, report: CircuitReport, items: Vec<Item>) {
+        let next = (self.work.finished)(r, report, items);
+        if !self.queued {
+            debug_assert!(next.is_empty(), "work published to a pool without a queue");
+            return;
+        }
+        let mut queue = self.queue();
+        let published = !next.is_empty();
+        for next in next {
+            match next {
+                Next::Route(job) => {
+                    let units = (job * self.seeds..(job + 1) * self.seeds).map(Unit::Route);
+                    queue.later[self.work.jobs[job].epoch].extend(units);
+                    queue.open += 1;
+                }
+                Next::Rescore(job, kept) => {
+                    let unit = Unit::Rescore(job, kept);
+                    queue.later[self.work.jobs[job].epoch].push_back(unit);
+                }
+            }
+        }
+        self.close(queue, published);
+    }
+
+    /// Records job `r`'s failure and closes the job.
+    fn fail(&self, r: usize, e: TranspileError) {
+        *self.failures[r].lock().expect("failure slot poisoned") = Some(e);
+        if self.queued {
+            self.close(self.queue(), false);
+        }
+    }
+
+    /// Job `r`'s noise-aware routing oracle (`None` when it routes
     /// noise-blind), built by the first caller for its `(map,
     /// calibration)` pair after validating the calibration against the
     /// map.
-    fn noise_oracle(&self, job: usize) -> Result<Option<&NoiseOracle>, TranspileError> {
-        let Some(pair) = self.noise_pair[job] else {
+    fn noise_oracle(&self, r: usize) -> Result<Option<&NoiseOracle>, TranspileError> {
+        let Some(pair) = self.noise_pair[r] else {
             return Ok(None);
         };
         let built = self.oracles[pair].get_or_init(|| {
-            let batch = self.work.batch;
-            let (map, cal) = (batch.map_for(job), batch.calibration_for(job));
-            let cal = cal.expect("paired jobs are calibrated");
-            cal.validate_for(map)?;
+            let job = &self.work.jobs[r];
+            let cal = job.cal.expect("paired jobs are calibrated");
+            cal.validate_for(job.map)?;
             if !self.config.noise_aware {
                 return Ok(None);
             }
-            self.oracle_builds.incr(1);
-            Ok(Some(NoiseOracle::new(map, cal, RouterOptions::default())))
+            self.oracle_builds[self.pair_epochs[pair]].incr(1);
+            Ok(Some(NoiseOracle::new(
+                job.map,
+                cal,
+                RouterOptions::default(),
+            )))
         });
         match built {
             Ok(oracle) => Ok(oracle.as_ref()),
@@ -720,35 +803,32 @@ impl<'a> Shared<'a> {
         }
     }
 
-    /// Re-scores kept route `i` under its new calibration.
-    fn rescore_unit(&self, i: usize) {
-        let r = &self.work.rescores[i];
+    /// Fills job `r`'s slot by re-scoring a kept route under the job's
+    /// calibration.
+    fn rescore_unit(&self, r: usize, kept: Arc<Adopted>) {
+        let job = &self.work.jobs[r];
         let scored = {
             let _span = self
                 .rec
-                .span_full("schedule", r.key as u64, || r.name.to_string());
+                .span_full("schedule", job.key as u64, || job.name.to_string());
             self.scorer.score(
-                r.name,
-                r.items,
-                r.swaps,
-                r.device_qubits,
-                r.logical_qubits,
-                Some(r.cal),
+                job.name,
+                &kept.items,
+                kept.swaps,
+                job.map.n_qubits(),
+                job.circuit.n_qubits(),
+                job.cal,
             )
         };
         match scored {
-            Ok(result) => (self.work.rescored)(i, result),
-            Err(e) => {
-                *self.rescore_failures[i]
-                    .lock()
-                    .expect("failure slot poisoned") = Some(e);
-            }
+            Ok(result) => (self.work.rescored)(r, kept, result),
+            Err(e) => *self.failures[r].lock().expect("failure slot poisoned") = Some(e),
         }
     }
 
     /// Publishes the sample units of a job whose back half has finished
     /// but for the verdict of its prepared sampled check.
-    fn publish(
+    fn publish_samples(
         &self,
         job: usize,
         check: PreparedCheck<'a>,
@@ -765,20 +845,19 @@ impl<'a> Shared<'a> {
                 report: Some((report, items)),
             }),
         });
-        self.queue()
-            .ready
-            .extend((0..units).map(|k| (k, Arc::clone(&sampled))));
-        self.sample_ready.notify_all();
+        (self.queue().samples).extend((0..units).map(|k| Unit::Sample(k, Arc::clone(&sampled))));
+        self.ready.notify_all();
     }
 
     /// Runs sample `sample` of a job's check. The worker that lands the
-    /// job's last outcome folds the verdict, in sample order, and streams
-    /// the report out.
+    /// job's last outcome folds the verdict, in sample order, and hands
+    /// the report on.
     fn run_sample(&self, sample: usize, sampled: &SampledJob<'_>, registers: &mut RegisterPair) {
-        let job = sampled.job;
+        let r = sampled.job;
+        let job = &self.work.jobs[r];
         let outcome = {
-            let _span = self.rec.span_full("verify.sample", self.key(job), || {
-                format!("{}#{sample}", self.work.batch.jobs()[job].name)
+            let _span = self.rec.span_full("verify.sample", job.key as u64, || {
+                format!("{}#{sample}", job.name)
             });
             sampled.check.run_unit(sample, registers)
         };
@@ -800,35 +879,33 @@ impl<'a> Shared<'a> {
                     .map(|o| o.expect("every sample has landed")),
             )
             .unwrap_or_else(error_verdict);
-        self.count_samples(&verification);
+        self.count_samples(r, &verification);
         report.verification = Some(verification);
-        (self.work.finished)(job, report, items);
+        self.deliver(r, report, items);
     }
 
-    /// Adds a Monte-Carlo verdict's samples to `verify.samples`.
-    fn count_samples(&self, verification: &Verification) {
+    /// Adds a Monte-Carlo verdict's samples to job `r`'s epoch's
+    /// `verify.samples`.
+    fn count_samples(&self, r: usize, verification: &Verification) {
         if let Verification::Sampled { samples, .. } = verification {
-            self.rec.add("verify.samples", *samples as u64);
+            let name = &self.verify_samples[self.work.jobs[r].epoch];
+            self.rec.add(name, *samples as u64);
         }
     }
 
     /// Best-seed selection, consolidation, verification and scoring for
     /// one fully routed job. Each stage runs under its own span (keyed by
-    /// [`Shared::key`], labeled by the job name). A sampled check is only
-    /// prepared here, and its samples run as pool units under
+    /// [`RouteJob::key`], labeled by the job name). A sampled check is
+    /// only prepared here, and its samples run as pool units under
     /// `verify.sample` spans; `run_batch` sums every span of a job into
     /// its pipeline time, and the placeholders below stay zero until then.
-    fn finish_job(
-        &self,
-        job: usize,
-        memo: &mut WeylMemo,
-    ) -> Result<FinishedJob<'a>, TranspileError> {
-        let spec = &self.work.batch.jobs()[job];
+    fn finish_job(&self, r: usize, memo: &mut WeylMemo) -> Result<FinishedJob<'a>, TranspileError> {
+        let job = &self.work.jobs[r];
         let stage = |name| {
             self.rec
-                .span_full(name, self.key(job), || spec.name.clone())
+                .span_full(name, job.key as u64, || job.name.to_string())
         };
-        let cal = self.work.batch.calibration_for(job);
+        let cal = job.cal;
         // Pick the best seed. Uncalibrated jobs keep `route_best_of`'s
         // rule — strictly fewest SWAPs, earliest seed wins. Calibrated
         // jobs rank by the route's gate-error survival product first, so
@@ -839,12 +916,10 @@ impl<'a> Shared<'a> {
         let best = {
             let _span = stage("select");
             let mut best: Option<(Routed, f64)> = None;
-            for seed in 0..self.seeds {
-                let routed = self.routed[job * self.seeds + seed]
-                    .lock()
-                    .expect("routing slot poisoned")
-                    .take()
-                    .expect("all units of a finished job are routed")?;
+            let slots =
+                std::mem::take(&mut *self.routed[r].lock().expect("routing slots poisoned"));
+            for slot in slots {
+                let routed = slot.expect("all units of a finished job are routed")?;
                 let survival = cal.map_or(1.0, |c| c.routed_survival(&routed.circuit));
                 if best.as_ref().is_none_or(|(b, s)| {
                     survival > *s || (survival == *s && routed.swaps_inserted < b.swaps_inserted)
@@ -859,7 +934,7 @@ impl<'a> Shared<'a> {
             consolidate_with(&best.circuit, memo)?
         };
 
-        let map = self.work.batch.map_for(job);
+        let map = job.map;
 
         // Semantic verification replays the *consolidated* stream — each
         // two-qubit block as one fused 4×4 apply — against the logical
@@ -878,12 +953,12 @@ impl<'a> Shared<'a> {
             let cfg = self
                 .config
                 .verify_config()
-                .seed(self.config.verify_seed ^ fnv1a(spec.name.as_bytes()));
+                .seed(self.config.verify_seed ^ fnv1a(job.name.as_bytes()));
             let physical = Physical::Consolidated {
                 items: &items,
                 n_qubits: map.n_qubits(),
             };
-            match PreparedCheck::prepare(&spec.circuit, &physical, &best.layout, &cfg) {
+            match PreparedCheck::prepare(job.circuit, &physical, &best.layout, &cfg) {
                 Ok(check) if check.is_sampled() => pending = Some(check),
                 Ok(check) => {
                     let outcome = check.run_unit(0, &mut RegisterPair::default());
@@ -893,16 +968,16 @@ impl<'a> Shared<'a> {
             }
         }
         if let Some(v) = &verification {
-            self.count_samples(v);
+            self.count_samples(r, v);
         }
         let result = {
             let _span = stage("schedule");
             self.scorer.score(
-                &spec.name,
+                job.name,
                 &items,
                 best.swaps_inserted,
                 map.n_qubits(),
-                spec.circuit.n_qubits(),
+                job.circuit.n_qubits(),
                 cal,
             )?
         };

@@ -18,22 +18,24 @@
 //!   adoption, re-scored under the new calibration by the engine's own
 //!   schedule stage: no routing or consolidation work) or
 //!   **re-transpiles** it through the full engine pipeline;
-//! - one [`DecompositionCache`] pair is shared across every epoch (see
-//!   [`run_batch_streaming_with_caches`]), so re-transpiles revisit warm
-//!   Weyl classes instead of rebuilding cold caches per epoch.
+//! - one [`DecompositionCache`] pair serves the whole run (the caches
+//!   [`run_batch_streaming_with_caches`] takes), so re-transpiles revisit
+//!   warm Weyl classes instead of rebuilding cold caches per epoch.
 //!
-//! Each epoch is one pass through the engine's worker pool, and that
-//! pass does all of the epoch's work: the re-transpiled jobs' routing
-//! units and back halves, their sample units under
-//! [`VerifyLevel::Sampled`](crate::VerifyLevel::Sampled), and one
-//! re-score unit per kept job. A routed job's adoption — its new route's
-//! survival under the epoch's calibration, plus the consolidated items it
-//! carries — is taken in the pool's sink on the worker that finished the
-//! job. Only the policy decisions and the in-order emission run on the
-//! calling thread. The pool builds each noise-aware routing oracle once
-//! per `(map, calibration snapshot)` pair, so the jobs of one timeline
-//! share it within an epoch, and the fleet keeps one Weyl-point memo per
-//! worker slot across all its epochs.
+//! The whole timeline is one pass through the engine's worker pool, which
+//! spawns and joins its workers once. Each job is a chain of pool units:
+//! epoch 0's routing units start the pool, and when a job adopts a route
+//! (on the worker that finished it, after its last sample under
+//! [`VerifyLevel::Sampled`](crate::VerifyLevel::Sampled)), the same
+//! worker applies the policy to the job's following epochs. It publishes
+//! one re-score unit per kept epoch up to the next re-transpile, then that
+//! epoch's routing units, whose adoption continues the chain. No job
+//! waits on another job's epoch; workers take published units lowest
+//! epoch first, so epochs complete in order. The calling thread only
+//! emits, each epoch once all its cells are in, while the workers run
+//! later epochs. The pool builds each noise-aware routing oracle once per
+//! `(map, calibration snapshot)` pair, so the jobs of one timeline share
+//! it, and each worker keeps one Weyl-point memo for the whole run.
 //!
 //! Like the batch engine, the fleet streams: every `(epoch, job)` cell's
 //! decision and [`CircuitReport`] go to a caller sink, and the run
@@ -49,20 +51,18 @@
 //! [`run_batch_streaming_with_caches`]: crate::run_batch_streaming_with_caches
 //! [`DecompositionCache`]: crate::DecompositionCache
 
-use crate::batch::{Batch, EngineConfig};
+use crate::batch::EngineConfig;
 use crate::cache::DecompositionCache;
-use crate::engine::{run_pool, PoolWork, Rescore, WeylMemos};
+use crate::engine::{run_pool, Next, PoolWork, RouteJob};
 use crate::report::{BatchSummary, CircuitReport};
 use crate::EngineError;
 use paradrive_circuit::Circuit;
-use paradrive_core::flow::BenchmarkResult;
-use paradrive_obs::Trace;
 use paradrive_transpiler::calibration::drift::CalibrationTimeline;
 use paradrive_transpiler::consolidate::Item;
 use paradrive_transpiler::topology::CouplingMap;
 use paradrive_verify::Verification;
 use std::str::FromStr;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 /// When does a fleet job re-transpile against the current epoch's
@@ -186,63 +186,97 @@ pub struct FleetJob {
     pub timeline: Arc<CalibrationTimeline>,
 }
 
-/// A job's cached transpilation, adopted at its last fresh/re-transpile
-/// epoch.
-struct Adopted {
-    routed: Circuit,
-    items: Vec<Item>,
-    swaps: usize,
-    /// The route's gate-error survival product under the calibration it
-    /// was adopted at — the denominator of the predicted-loss estimate.
-    survival: f64,
+/// A job's adopted transpilation, taken at its fresh or re-transpile
+/// epoch and shared by the re-score units of the kept epochs that follow
+/// it; it is dropped once the last of them has run.
+pub(crate) struct Adopted {
+    /// The route's consolidated items, re-scored at each kept epoch.
+    pub(crate) items: Vec<Item>,
+    /// SWAPs the route inserted.
+    pub(crate) swaps: usize,
+    /// The routed circuit, kept only for reports that keep it.
+    routed: Option<Circuit>,
+    /// The adoption's verdict, which kept epochs carry forward.
     verification: Option<Verification>,
 }
 
-/// One job's epoch, as the worker that finished it leaves it.
-enum EpochCell {
-    /// A fresh or re-transpiled job: its report, its consolidated items,
-    /// and its route's survival under the epoch's calibration — all its
-    /// adoption needs.
-    Routed(CircuitReport, Vec<Item>, f64),
-    /// A kept job's re-scored result.
-    Kept(BenchmarkResult),
+/// The cells workers have finished and the calling thread has not
+/// emitted yet.
+struct Cells {
+    /// Per `(epoch, job)`, epoch-major: the decision and the report.
+    slots: Vec<Option<(EpochDecision, CircuitReport)>>,
+    /// Cells in per epoch.
+    filled: Vec<usize>,
+    /// Every worker has returned: no more cells will come.
+    drained: bool,
 }
 
-/// Replays every job's calibration timeline epoch by epoch under one
-/// re-transpilation `policy`, handing every `(epoch, job, decision,
-/// report)` cell to `sink`.
+impl RetranspilePolicy {
+    /// The first epoch after `adopted` at which `routed`, adopted then,
+    /// goes stale on `timeline` (the timeline's epoch count when it never
+    /// does): later epochs compare the route's survival under their
+    /// calibration with its survival at adoption.
+    fn stale_from(
+        &self,
+        timeline: &CalibrationTimeline,
+        routed: &Circuit,
+        adopted: usize,
+    ) -> usize {
+        let epochs = timeline.epochs();
+        match self {
+            RetranspilePolicy::Never => epochs,
+            RetranspilePolicy::Always => adopted + 1,
+            RetranspilePolicy::Adaptive { max_fidelity_loss } => {
+                let survival = |epoch| timeline.snapshot(epoch).routed_survival(routed);
+                let at_adoption = survival(adopted);
+                (adopted + 1..epochs)
+                    .find(|&epoch| {
+                        (1.0 - survival(epoch) / at_adoption).max(0.0) > *max_fidelity_loss
+                    })
+                    .unwrap_or(epochs)
+            }
+        }
+    }
+}
+
+/// Replays every job's calibration timeline under one re-transpilation
+/// `policy`, handing every `(epoch, job, decision, report)` cell to
+/// `sink`.
 ///
-/// Epoch 0 transpiles every job fresh; later epochs consult the policy
-/// per job (see [`RetranspilePolicy`]) on the calling thread. Each epoch
-/// then runs one engine pool: the re-transpiled jobs go through the
-/// full pipeline, and each kept job re-scores its cached consolidated
-/// items under the new calibration as one unit of the same pool,
-/// without routing. Re-transpiled jobs are adopted on the worker that
-/// finished them. Kept jobs carry their adoption verification verdict
-/// forward — the routed circuit is unchanged, so the verdict is too.
-/// One warm [`DecompositionCache`] pair and one Weyl-point memo per
-/// worker slot serve every epoch, and each epoch's pool builds one
-/// noise-aware routing oracle per `(map, calibration snapshot)` pair it
-/// routes.
+/// Epoch 0 transpiles every job fresh. The whole timeline then runs in
+/// one engine pool, as one chain of units per job: when a job adopts a
+/// route, the worker that finished it consults the policy (see
+/// [`RetranspilePolicy`]) for the job's following epochs, publishes a
+/// re-score unit for each kept epoch — its cached consolidated items
+/// scored under that epoch's calibration, without routing — and then the
+/// routing units of the next re-transpile, which adopts in turn. No job
+/// waits on another job's epoch. Kept jobs carry their adoption
+/// verification verdict forward — the routed circuit is unchanged, so
+/// the verdict is too. One warm [`DecompositionCache`] pair, one
+/// Weyl-point memo per worker and one noise-aware routing oracle per
+/// `(map, calibration snapshot)` pair serve the whole run.
 ///
-/// The sink runs on the calling thread, in epoch order and, within an
-/// epoch, in job submission order. Reports keep their routed circuit
-/// only under [`EngineConfig::keep_routed`], and carry zero
+/// The sink runs on the calling thread while the workers run later
+/// epochs: in epoch order, each epoch once all its cells are in, and
+/// within an epoch in job submission order. Reports keep their routed
+/// circuit only under [`EngineConfig::keep_routed`], and carry zero
 /// `route_time`/`pipeline_time`. The returned summary holds the
 /// configured worker count, the fleet wall clock, the shared cache
-/// pair's cumulative counters, and the merged trace: every epoch's
-/// spans shifted onto one timeline and keyed by fleet job index, its
-/// counters prefixed `epochN.`, per-epoch
-/// `fleet.epochN.{fresh,kept,retranspiled}` decision counters, and
-/// `fleet.route.oracles`, the oracles built over all epochs.
+/// pair's counters, and the run's trace: its spans keyed by fleet job
+/// index, per-epoch counters prefixed `epochN.`
+/// (`epochN.route.{seed_attempts,oracles}`, and `epochN.verify.samples`
+/// under sampled verification), run totals `cache.{baseline,optimized}.*`,
+/// per-epoch `fleet.epochN.{fresh,kept,retranspiled}` decision counters,
+/// and `fleet.route.oracles`, the oracles built over all epochs.
 ///
 /// # Errors
 ///
 /// [`EngineError::Fleet`] when the jobs disagree on epoch count, and
-/// the [`EngineError::Job`] of the first job, in submission order, that
-/// fails in an epoch (invalid calibration, unroutable circuit, a score
-/// that overflows, …). The sink has then seen every earlier epoch and
-/// none of the failing one.
+/// otherwise the [`EngineError::Job`] of the earliest failing `(epoch,
+/// job)` — the earliest epoch, then the first job in submission order —
+/// that fails (invalid calibration, unroutable circuit, a score that
+/// overflows, …). The sink has then seen every earlier epoch and none of
+/// the failing one.
 pub fn run_fleet(
     jobs: &[FleetJob],
     config: &EngineConfig,
@@ -261,153 +295,144 @@ pub fn run_fleet(
             ),
         });
     }
+    let n_jobs = jobs.len();
 
-    // One warm cache pair and one set of Weyl memos for the whole fleet:
-    // re-transpiles at late epochs revisit the Weyl classes and the
-    // blocks epoch 0 already decomposed.
+    // One warm cache pair for the whole fleet: re-transpiles at late
+    // epochs revisit the Weyl classes epoch 0 already decomposed.
     let caches = config
         .cache
         .then(|| (DecompositionCache::new(), DecompositionCache::new()));
     let cache_refs = caches.as_ref().map(|(b, o)| (b, o));
-    let memos = WeylMemos::new(config.effective_threads());
-    // Re-transpiled jobs must keep routed circuits — the cached route
+    // The pool's reports keep their routed circuits — the adopted route
     // *is* the fleet's working state; the caller's `keep_routed` governs
     // only what the emitted reports retain.
     let inner = config.keep_routed(true);
 
-    let mut adopted: Vec<Option<Adopted>> = (0..jobs.len()).map(|_| None).collect();
-    let mut trace = Trace::default();
-    let mut oracles = 0;
-
-    for epoch in 0..n_epochs {
-        // Decide per job. Epoch 0 is always fresh; later epochs compare
-        // the cached route's survival under the new calibration with its
-        // survival at adoption.
-        let decisions: Vec<EpochDecision> = jobs
-            .iter()
-            .zip(&adopted)
-            .map(|(job, cached)| {
-                let Some(cached) = cached else {
-                    return EpochDecision::Fresh;
-                };
-                match policy {
-                    RetranspilePolicy::Never => EpochDecision::Kept,
-                    RetranspilePolicy::Always => EpochDecision::Retranspiled,
-                    RetranspilePolicy::Adaptive { max_fidelity_loss } => {
-                        let now = job.timeline.snapshot(epoch).routed_survival(&cached.routed);
-                        let loss = (1.0 - now / cached.survival).max(0.0);
-                        if loss > *max_fidelity_loss {
-                            EpochDecision::Retranspiled
-                        } else {
-                            EpochDecision::Kept
-                        }
-                    }
-                }
-            })
-            .collect();
-
-        // The epoch's one pool: the stale jobs route as a batch, and the
-        // kept jobs re-score their cached items as units of the same pool.
-        let (stale, kept): (Vec<usize>, Vec<usize>) =
-            (0..jobs.len()).partition(|&j| decisions[j] != EpochDecision::Kept);
-        let mut batch = Batch::with_shared(Arc::clone(&jobs[0].map));
-        for &j in &stale {
-            let job = &jobs[j];
-            batch.push_calibrated(
-                job.name.clone(),
-                job.circuit.clone(),
-                Arc::clone(&job.map),
-                job.timeline.snapshot_shared(epoch),
+    let cells = Mutex::new(Cells {
+        slots: (0..n_epochs * n_jobs).map(|_| None).collect(),
+        filled: vec![0; n_epochs],
+        drained: false,
+    });
+    let cells_in = Condvar::new();
+    // `drained` runs as a worker returns, unwinding too, so it must not
+    // panic on a poisoned lock; every update leaves the cells consistent.
+    let lock = || cells.lock().unwrap_or_else(|e| e.into_inner());
+    let store = |r: usize, decision: EpochDecision, report: CircuitReport| {
+        let mut cells = lock();
+        cells.slots[r] = Some((decision, report));
+        cells.filled[r / n_jobs] += 1;
+        if cells.filled[r / n_jobs] == n_jobs {
+            cells_in.notify_one();
+        }
+    };
+    // A routed job adopts its route on the worker that finished it, and
+    // publishes its chain up to the next re-transpile.
+    let finished = |r: usize, mut report: CircuitReport, items: Vec<Item>| {
+        let (epoch, j) = (r / n_jobs, r % n_jobs);
+        let routed = (report.routed.take()).expect("fleet pools keep routed circuits");
+        let stale = policy.stale_from(&jobs[j].timeline, &routed, epoch);
+        let mut next = Vec::new();
+        if stale > epoch + 1 {
+            let adopted = Arc::new(Adopted {
+                items,
+                swaps: report.result.swaps,
+                routed: config.keep_routed.then(|| routed.clone()),
+                verification: report.verification.clone(),
+            });
+            next.extend(
+                (epoch + 1..stale)
+                    .map(|kept| Next::Rescore(kept * n_jobs + j, Arc::clone(&adopted))),
             );
         }
-        let rescores: Vec<Rescore<'_>> = kept
-            .iter()
-            .map(|&j| {
-                let (job, cached) = (&jobs[j], adopted[j].as_ref().expect("adopted at epoch 0"));
-                Rescore {
-                    key: j,
-                    name: &job.name,
-                    items: &cached.items,
-                    swaps: cached.swaps,
-                    device_qubits: job.map.n_qubits(),
-                    logical_qubits: job.circuit.n_qubits(),
-                    cal: job.timeline.snapshot(epoch),
-                }
-            })
-            .collect();
-
-        // Workers fill one slot per job: a routed job's report, items and
-        // survival (its adoption), or a kept job's re-scored result.
-        let slots: Vec<Mutex<Option<EpochCell>>> = jobs.iter().map(|_| Mutex::new(None)).collect();
-        let fill = |j: usize, cell| *slots[j].lock().expect("report slot poisoned") = Some(cell);
-        let finished = |i: usize, report: CircuitReport, items: Vec<Item>| {
-            let j = stale[i];
-            let routed = report
-                .routed
-                .as_ref()
-                .expect("fleet batches keep routed circuits");
-            let survival = jobs[j].timeline.snapshot(epoch).routed_survival(routed);
-            fill(j, EpochCell::Routed(report, items, survival));
-        };
-        let rescored = |i: usize, result| fill(kept[i], EpochCell::Kept(result));
-        let work = PoolWork {
-            batch: &batch,
-            keys: Some(&stale),
-            finished: &finished,
-            rescores: &rescores,
-            rescored: &rescored,
-        };
-        let mut sub = run_pool(&work, &inner, cache_refs, &memos)?.trace;
-        oracles += sub.counter("route.oracles").unwrap_or(0);
-        sub.shift(trace.end_ns());
-        sub.prefix_counters(&format!("epoch{epoch}."));
-        trace.merge(sub);
-
-        // Emit the epoch in job order and adopt the new routes. A kept
-        // job carries its adoption verification verdict forward.
-        for (j, slot) in slots.into_iter().enumerate() {
-            let cell = slot
-                .into_inner()
-                .expect("report slot poisoned")
-                .expect("every job of a successful epoch reports");
-            let report = match cell {
-                EpochCell::Routed(mut report, items, survival) => {
-                    let routed = if config.keep_routed {
-                        report.routed.clone()
-                    } else {
-                        report.routed.take()
-                    };
-                    adopted[j] = Some(Adopted {
-                        routed: routed.expect("fleet batches keep routed circuits"),
-                        items,
-                        swaps: report.result.swaps,
-                        survival,
-                        verification: report.verification.clone(),
-                    });
-                    report
-                }
-                EpochCell::Kept(result) => {
-                    let (job, cached) =
-                        (&jobs[j], adopted[j].as_ref().expect("adopted at epoch 0"));
-                    CircuitReport {
-                        result,
-                        topology: job.map.label().to_string(),
-                        calibration: job.timeline.snapshot(epoch).label().to_string(),
-                        routed: config.keep_routed.then(|| cached.routed.clone()),
-                        verification: cached.verification.clone(),
-                        route_time: Duration::ZERO,
-                        pipeline_time: Duration::ZERO,
-                    }
-                }
-            };
-            sink(epoch, j, decisions[j], report);
+        if stale < n_epochs {
+            next.push(Next::Route(stale * n_jobs + j));
         }
+        report.routed = config.keep_routed.then_some(routed);
+        let decision = if epoch == 0 {
+            EpochDecision::Fresh
+        } else {
+            EpochDecision::Retranspiled
+        };
+        store(r, decision, report);
+        next
+    };
+    // A kept job carries its adoption's route and verdict forward — the
+    // routed circuit is unchanged, so the verdict is too.
+    let rescored = |r: usize, adopted: Arc<Adopted>, result| {
+        let (epoch, job) = (r / n_jobs, &jobs[r % n_jobs]);
+        let report = CircuitReport {
+            result,
+            topology: job.map.label().to_string(),
+            calibration: job.timeline.snapshot(epoch).label().to_string(),
+            routed: adopted.routed.clone(),
+            verification: adopted.verification.clone(),
+            route_time: Duration::ZERO,
+            pipeline_time: Duration::ZERO,
+        };
+        store(r, EpochDecision::Kept, report);
+    };
+    let drained = || {
+        lock().drained = true;
+        cells_in.notify_one();
+    };
+    let work = PoolWork {
+        // Route job `epoch * n_jobs + j` is job `j` at `epoch`, so a
+        // failure ranks by epoch, then by job.
+        jobs: (0..n_epochs)
+            .flat_map(|epoch| {
+                jobs.iter().enumerate().map(move |(j, job)| RouteJob {
+                    name: &job.name,
+                    circuit: &job.circuit,
+                    map: &job.map,
+                    cal: Some(job.timeline.snapshot(epoch)),
+                    key: j,
+                    epoch,
+                })
+            })
+            .collect(),
+        initial: n_jobs,
+        prefixes: (0..n_epochs)
+            .map(|epoch| format!("epoch{epoch}."))
+            .collect(),
+        finished: &finished,
+        rescored: &rescored,
+        drained: &drained,
+    };
+
+    // The calling thread emits each epoch once all its cells are in, and
+    // stops at the first epoch a failure leaves short.
+    let mut decisions = Vec::with_capacity(n_epochs * n_jobs);
+    let emit = || {
+        for epoch in 0..n_epochs {
+            let row: Vec<(EpochDecision, CircuitReport)> = {
+                let mut cells = lock();
+                while cells.filled[epoch] < n_jobs && !cells.drained {
+                    cells = cells_in.wait(cells).unwrap_or_else(|e| e.into_inner());
+                }
+                if cells.filled[epoch] < n_jobs {
+                    return;
+                }
+                (cells.slots[epoch * n_jobs..(epoch + 1) * n_jobs].iter_mut())
+                    .map(|slot| slot.take().expect("a filled epoch holds every cell"))
+                    .collect()
+            };
+            for (j, (decision, report)) in row.into_iter().enumerate() {
+                decisions.push(decision);
+                sink(epoch, j, decision, report);
+            }
+        }
+    };
+    let mut trace = run_pool(&work, &inner, cache_refs, emit)?.trace;
+
+    let mut oracles = 0;
+    for (epoch, decided) in decisions.chunks(n_jobs.max(1)).enumerate() {
+        oracles += (trace.counter(&format!("epoch{epoch}.route.oracles"))).unwrap_or(0);
         for (name, decision) in [
             ("fresh", EpochDecision::Fresh),
             ("kept", EpochDecision::Kept),
             ("retranspiled", EpochDecision::Retranspiled),
         ] {
-            let count = decisions.iter().filter(|&&d| d == decision).count();
+            let count = decided.iter().filter(|&&d| d == decision).count();
             trace.set_counter(format!("fleet.epoch{epoch}.{name}"), count as u64);
         }
     }
@@ -425,7 +450,7 @@ pub fn run_fleet(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::run_batch;
+    use crate::{run_batch, Batch};
     use paradrive_circuit::benchmarks;
     use paradrive_transpiler::calibration::drift::DriftSpec;
     use paradrive_transpiler::calibration::Calibration;
@@ -582,8 +607,11 @@ mod tests {
 
     /// Every cell of a drifting fleet is bit-identical at 1, 2 and 4
     /// threads, with the cache on or off, and with verification off or
-    /// sampled — where a mixed epoch's routing, sample and kept units all
-    /// share one pool.
+    /// sampled — where routing, sample and re-score units all share one
+    /// pool — under the adaptive policy (an epoch mixes kept and
+    /// re-transpiled jobs) and the two extreme chain shapes: `Always`
+    /// (every job a strict chain of re-transpiles) and `Never` (every
+    /// later epoch a re-score published after epoch 0).
     #[test]
     fn fleet_reports_are_thread_deterministic() {
         let map = Arc::new(CouplingMap::grid(3, 3));
@@ -599,33 +627,51 @@ mod tests {
                 ("vqe8", benchmarks::vqe_linear(8, 2, 5)),
             ],
         );
-        let policy = RetranspilePolicy::Adaptive {
+        let adaptive = RetranspilePolicy::Adaptive {
             max_fidelity_loss: 0.02,
         };
-        for verify in [VerifyLevel::Off, VerifyLevel::Sampled] {
-            let base = EngineConfig::default()
-                .routing_seeds(3)
-                .keep_routed(true)
-                .noise_aware(true)
-                .verify(verify)
-                .verify_samples(3);
-            let (one, _) = collect(&jobs, &base.threads(1), &policy).unwrap();
-            assert_eq!(one.len(), 3 * jobs.len());
-            let mixed = (1..3).any(|epoch| {
-                let decided = |d| one.iter().any(|c| c.0 == epoch && c.2 == d);
-                decided(EpochDecision::Kept) && decided(EpochDecision::Retranspiled)
-            });
-            assert!(mixed, "no epoch mixes kept and re-transpiled jobs");
-            for threads in [2, 4] {
-                let (many, _) = collect(&jobs, &base.threads(threads), &policy).unwrap();
-                cells_identical(&one, &many);
-            }
-            // Cache off agrees too: the cache only changes wall clock.
-            let (raw, summary) = collect(&jobs, &base.threads(2).cache(false), &policy).unwrap();
-            cells_identical(&one, &raw);
-            assert!(summary.cache_stats().is_none());
-            if verify == VerifyLevel::Sampled {
-                assert!(one.iter().all(|c| c.3.verification.is_some()));
+        for policy in [
+            adaptive,
+            RetranspilePolicy::Always,
+            RetranspilePolicy::Never,
+        ] {
+            for verify in [VerifyLevel::Off, VerifyLevel::Sampled] {
+                let base = EngineConfig::default()
+                    .routing_seeds(3)
+                    .keep_routed(true)
+                    .noise_aware(true)
+                    .verify(verify)
+                    .verify_samples(3);
+                let (one, _) = collect(&jobs, &base.threads(1), &policy).unwrap();
+                assert_eq!(one.len(), 3 * jobs.len());
+                let later = |d| one.iter().filter(|c| c.0 > 0 && c.2 == d).count();
+                let (kept, retranspiled) = (
+                    later(EpochDecision::Kept),
+                    later(EpochDecision::Retranspiled),
+                );
+                match policy {
+                    RetranspilePolicy::Always => assert_eq!(kept, 0),
+                    RetranspilePolicy::Never => assert_eq!(retranspiled, 0),
+                    RetranspilePolicy::Adaptive { .. } => {
+                        let mixed = (1..3).any(|epoch| {
+                            let decided = |d| one.iter().any(|c| c.0 == epoch && c.2 == d);
+                            decided(EpochDecision::Kept) && decided(EpochDecision::Retranspiled)
+                        });
+                        assert!(mixed, "no epoch mixes kept and re-transpiled jobs");
+                    }
+                }
+                for threads in [2, 4] {
+                    let (many, _) = collect(&jobs, &base.threads(threads), &policy).unwrap();
+                    cells_identical(&one, &many);
+                }
+                // Cache off agrees too: the cache only changes wall clock.
+                let (raw, summary) =
+                    collect(&jobs, &base.threads(2).cache(false), &policy).unwrap();
+                cells_identical(&one, &raw);
+                assert!(summary.cache_stats().is_none());
+                if verify == VerifyLevel::Sampled {
+                    assert!(one.iter().all(|c| c.3.verification.is_some()));
+                }
             }
         }
     }
@@ -676,6 +722,86 @@ mod tests {
         assert_eq!(job, "bad-a");
         assert!(matches!(source, TranspileError::InvalidCalibration(_)));
         assert_eq!(cells, 0);
+    }
+
+    /// A job that fails only at a later epoch stops the emission there:
+    /// the error names the earliest failing `(epoch, job)` — not the
+    /// first job in submission order to fail at some epoch — and the sink
+    /// has seen exactly the epochs before it, while a healthy job's chain
+    /// runs on through every epoch. Under `Always`, noise-aware routing
+    /// on a line gets stuck once the walk pushes a degraded bridge past
+    /// the router's dead threshold: at epoch 3 on one timeline, at epoch 2
+    /// on the other.
+    #[test]
+    fn a_later_failure_reports_the_earliest_failing_epoch_and_job() {
+        let grid = Arc::new(CouplingMap::grid(3, 3));
+        let line = Arc::new(CouplingMap::line(5));
+        let timeline = |map: &CouplingMap, spec: &DriftSpec| {
+            let cal = Calibration::uniform(map, FidelityModel::paper());
+            Arc::new(CalibrationTimeline::generate(&cal, map, spec).unwrap())
+        };
+        let mut jobs = fleet_on(
+            &grid,
+            &timeline(&grid, &DriftSpec::calm(4, 1)),
+            vec![("healthy", benchmarks::ghz(8))],
+        );
+        jobs.extend(fleet_on(
+            &line,
+            &timeline(&line, &DriftSpec::walk(4, 0.5, 1, 22)),
+            vec![("stuck-at-3", benchmarks::ghz(5))],
+        ));
+        jobs.extend(fleet_on(
+            &line,
+            &timeline(&line, &DriftSpec::walk(4, 0.5, 1, 59)),
+            vec![("stuck-at-2", benchmarks::ghz(5))],
+        ));
+        for threads in [1, 2, 4] {
+            let config = EngineConfig::default()
+                .routing_seeds(2)
+                .threads(threads)
+                .noise_aware(true);
+            let mut seen = Vec::new();
+            let err = run_fleet(
+                &jobs,
+                &config,
+                &RetranspilePolicy::Always,
+                &mut |epoch, job, decision, _| seen.push((epoch, job, decision)),
+            )
+            .unwrap_err();
+            let EngineError::Job { job, source } = err else {
+                panic!("expected a job error, got {err}");
+            };
+            assert_eq!(job, "stuck-at-2", "{threads} thread(s)");
+            assert!(
+                matches!(source, TranspileError::RoutingStuck { .. }),
+                "{source:?}"
+            );
+            let want: Vec<(usize, usize, EpochDecision)> = (0..2)
+                .flat_map(|epoch| {
+                    let decision = if epoch == 0 {
+                        EpochDecision::Fresh
+                    } else {
+                        EpochDecision::Retranspiled
+                    };
+                    (0..3).map(move |job| (epoch, job, decision))
+                })
+                .collect();
+            assert_eq!(seen, want, "{threads} thread(s)");
+        }
+        // Each line job alone fails at its own epoch, so the order above
+        // is the earliest epoch's, not the submission order's.
+        for (job, epoch) in [(1, 3), (2, 2)] {
+            let mut epochs = 0;
+            let err = run_fleet(
+                &jobs[job..=job],
+                &EngineConfig::default().routing_seeds(2).noise_aware(true),
+                &RetranspilePolicy::Always,
+                &mut |e, _, _, _| epochs = epochs.max(e + 1),
+            )
+            .unwrap_err();
+            assert!(matches!(err, EngineError::Job { .. }), "{err}");
+            assert_eq!(epochs, epoch, "{}", jobs[job].name);
+        }
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //! span per pipeline stage per job (and one per Monte-Carlo sample),
 //! cache and pipeline counters that are the same on every run, and a
 //! Chrome trace-event export that parses back as balanced B/E pairs. A
-//! fleet's trace keys every span by the fleet job and counts each noise
-//! oracle it builds once.
+//! fleet runs on one set of workers, and its trace keys every span by
+//! the fleet job and counts each noise oracle it builds once.
 
 use paradrive_circuit::benchmarks;
 use paradrive_engine::{
@@ -186,7 +186,7 @@ fn chrome_export_parses_back_with_balanced_begin_end_pairs() {
         .any(|ev| ev.get("ph").and_then(Value::as_str) == Some("C")));
 }
 
-const EPOCHS: usize = 3;
+const EPOCHS: usize = 4;
 
 /// A drifting fleet on one grid: two calibrations, each with its own
 /// timeline, and two circuits on each. Returns the jobs and, per job, the
@@ -236,6 +236,52 @@ fn run_drifting(
     (decisions, summary)
 }
 
+/// The counters a fleet trace must carry, derived from the fleet's
+/// decisions: per epoch, SEEDS seed attempts per routed job, one oracle
+/// per timeline routed, and the decision counts; over the fleet, the
+/// oracles of every epoch.
+fn expected_fleet_counters(
+    decisions: &[(usize, usize, EpochDecision)],
+    timeline_of: &[usize],
+) -> Vec<(String, u64)> {
+    let mut want = Vec::new();
+    let mut oracles = 0;
+    for epoch in 0..EPOCHS {
+        let cells: Vec<(usize, EpochDecision)> = decisions
+            .iter()
+            .filter(|c| c.0 == epoch)
+            .map(|&(_, job, d)| (job, d))
+            .collect();
+        let routed: Vec<usize> = cells
+            .iter()
+            .filter(|(_, d)| *d != EpochDecision::Kept)
+            .map(|&(job, _)| job)
+            .collect();
+        let mut timelines: Vec<usize> = routed.iter().map(|&job| timeline_of[job]).collect();
+        timelines.sort_unstable();
+        timelines.dedup();
+        oracles += timelines.len() as u64;
+        want.push((
+            format!("epoch{epoch}.route.seed_attempts"),
+            SEEDS * routed.len() as u64,
+        ));
+        want.push((
+            format!("epoch{epoch}.route.oracles"),
+            timelines.len() as u64,
+        ));
+        for (name, decision) in [
+            ("fresh", EpochDecision::Fresh),
+            ("kept", EpochDecision::Kept),
+            ("retranspiled", EpochDecision::Retranspiled),
+        ] {
+            let count = cells.iter().filter(|(_, d)| *d == decision).count();
+            want.push((format!("fleet.epoch{epoch}.{name}"), count as u64));
+        }
+    }
+    want.push(("fleet.route.oracles".to_string(), oracles));
+    want
+}
+
 #[test]
 fn fleet_spans_are_keyed_by_fleet_job_and_oracles_are_built_once_per_pair() {
     let (jobs, timeline_of) = drifting_fleet();
@@ -272,37 +318,35 @@ fn fleet_spans_are_keyed_by_fleet_job_and_oracles_are_built_once_per_pair() {
         );
     }
 
-    // One oracle per (map, calibration snapshot) pair the epoch routes:
+    // One oracle per (map, calibration snapshot) pair the fleet routes:
     // the jobs of one timeline share it.
-    let mut routed_pairs: Vec<(usize, usize)> = decisions
-        .iter()
-        .filter(|(_, _, d)| !kept(d))
-        .map(|&(epoch, job, _)| (epoch, timeline_of[job]))
-        .collect();
-    routed_pairs.sort_unstable();
-    routed_pairs.dedup();
     let routed_jobs = decisions.iter().filter(|(_, _, d)| !kept(d)).count();
+    let want = expected_fleet_counters(&decisions, &timeline_of);
+    let oracles = want.last().unwrap().1;
     assert!(
-        routed_pairs.len() < routed_jobs,
+        (oracles as usize) < routed_jobs,
         "no two routed jobs share a pair"
     );
-    let oracles = trace.counter("fleet.route.oracles");
-    assert_eq!(oracles, Some(routed_pairs.len() as u64));
-    let per_epoch: u64 = (0..EPOCHS)
-        .map(|e| {
-            trace
-                .counter(&format!("epoch{e}.route.oracles"))
-                .unwrap_or(0)
-        })
-        .sum();
-    assert_eq!(Some(per_epoch), oracles);
-    for threads in [1, 4] {
+    for threads in [1, 2, 4] {
         let (again, summary) = run_drifting(&jobs, threads);
         assert_eq!(again, decisions, "{threads} thread(s)");
-        assert_eq!(
-            summary.trace.counter("fleet.route.oracles"),
-            oracles,
-            "{threads} thread(s)"
+        for (name, value) in &want {
+            assert_eq!(
+                summary.trace.counter(name),
+                Some(*value),
+                "{name} at {threads} thread(s)"
+            );
+        }
+        // The whole timeline runs on one set of workers: every span comes
+        // from at most `threads` distinct threads, not a fresh set per
+        // epoch.
+        let mut tids: Vec<u32> = summary.trace.spans.iter().map(|s| s.tid).collect();
+        tids.sort_unstable();
+        tids.dedup();
+        assert!(
+            tids.len() <= threads,
+            "{} distinct tids at {threads} thread(s)",
+            tids.len()
         );
     }
 }
