@@ -13,7 +13,7 @@ use crate::scoring::{best_basis, duration_table, DurationRow, Metric};
 use crate::CoreError;
 use paradrive_coverage::scores::{build_stack, BuildOptions, CONTAINMENT_TOL};
 use paradrive_optimizer::TemplateSpec;
-use paradrive_speedlimit::{SpeedLimit, StandardSlf};
+use paradrive_speedlimit::StandardSlf;
 use paradrive_weyl::WeylPoint;
 use rand::Rng;
 use std::f64::consts::FRAC_PI_2;
@@ -148,20 +148,6 @@ pub fn optimal_fraction(curve: &[Fig6Point], d1q_index: usize) -> f64 {
         .min_by(|a, b| a.e_d_haar[d1q_index].total_cmp(&b.e_d_haar[d1q_index]))
         .expect("curve non-empty")
         .fraction
-}
-
-/// Best drive ratio under an arbitrary (e.g. characterized) SLF for a
-/// base-plane family: sweeps the family ray's pulse duration and reports
-/// `(duration of one pulse, the family's Weyl point)` — the building block
-/// of the Fig. 5 intersection plots.
-pub fn family_pulse_duration(
-    slf: &dyn SpeedLimit,
-    family_point: WeylPoint,
-) -> Result<f64, CoreError> {
-    let scale = paradrive_speedlimit::DurationScale::new(slf);
-    scale
-        .pulse_duration(family_point)
-        .map_err(|e| CoreError::SpeedLimit(e.to_string()))
 }
 
 #[cfg(test)]

@@ -599,11 +599,6 @@ impl Hull3 {
         }
         acc
     }
-
-    /// Number of faces (diagnostic).
-    pub fn face_count(&self) -> usize {
-        self.faces.len()
-    }
 }
 
 #[cfg(test)]

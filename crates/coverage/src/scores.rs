@@ -218,12 +218,6 @@ pub fn paper_table1_reference() -> Vec<(&'static str, usize, usize, f64, f64)> {
     ]
 }
 
-/// Convenience: a `CoverageSet` from explicit points (re-exported for
-/// harness code building joint/fractional regions).
-pub fn set_from_points(points: &[WeylPoint]) -> CoverageSet {
-    CoverageSet::from_points(points)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -18,8 +18,9 @@
 //! each scoring a kept route's consolidated items under a new calibration
 //! under a `schedule` span (the fleet's kept epochs). That work, and at
 //! [`VerifyLevel::Sampled`] each job's K Monte-Carlo *sample units*, is
-//! published to one queue that workers take from ahead of the cursor. The
-//! back half of a sampled job only *prepares* its check
+//! published to one queue: workers take sample units ahead of the cursor,
+//! and routing and re-score units, first published first, once the cursor
+//! has run dry. The back half of a sampled job only *prepares* its check
 //! ([`PreparedCheck`]); the worker that finishes the job's last sample
 //! folds the verdict and hands the report on. A worker with nothing
 //! runnable waits on a condition variable while some route job is still
@@ -39,9 +40,9 @@
 //! wins" (exactly [`route_best_of`]'s rule), each sample's fidelity is a
 //! pure function of `(job, sample)`, the verdict folds the samples in
 //! sample order, an oracle and a Weyl point are pure functions of their
-//! inputs, and results land in per-job slots — the output is a pure
-//! function of the batch and config, bit-for-bit identical at any thread
-//! count.
+//! inputs, and every result reaches its sink under its job's index, in
+//! whatever order the workers finish — the output is a pure function of
+//! the batch and config, bit-for-bit identical at any thread count.
 //!
 //! [`route_best_of`]: paradrive_transpiler::routing::route_best_of
 
@@ -127,8 +128,6 @@ pub(crate) struct PoolWork<'a> {
     pub(crate) finished: &'a FinishSink<'a>,
     /// Where each re-score's result goes.
     pub(crate) rescored: &'a RescoreSink<'a>,
-    /// Called once every worker has returned, also when one panicked.
-    pub(crate) drained: &'a (dyn Fn() + Sync + 'a),
 }
 
 /// Runs every job in `batch` and returns the aggregated report.
@@ -255,14 +254,12 @@ pub fn run_batch_streaming_with_caches(
             Vec::new()
         },
         rescored: &|_, _, _| {},
-        drained: &|| {},
     };
-    run_pool(&work, config, caches, || {})
+    run_pool(&work, config, caches)
 }
 
 /// The worker pool behind every entry point: runs `work` (see
-/// [`run_batch_streaming_with_caches`] for the contract), and `on_caller`
-/// on the calling thread while the workers run.
+/// [`run_batch_streaming_with_caches`] for the contract).
 ///
 /// # Errors
 ///
@@ -272,7 +269,6 @@ pub(crate) fn run_pool(
     work: &PoolWork<'_>,
     config: &EngineConfig,
     caches: Option<(&DecompositionCache, &DecompositionCache)>,
-    on_caller: impl FnOnce(),
 ) -> Result<BatchSummary, EngineError> {
     let started = Instant::now();
     let seeds = config.routing_seeds.max(1) as usize;
@@ -324,12 +320,11 @@ pub(crate) fn run_pool(
         queued: config.verify == VerifyLevel::Sampled || n_jobs > work.initial,
         queue: Mutex::new(Queue {
             samples: VecDeque::new(),
-            later: work.prefixes.iter().map(|_| VecDeque::new()).collect(),
+            later: VecDeque::new(),
             open: work.initial,
             abort: false,
         }),
         ready: Condvar::new(),
-        live: AtomicUsize::new(threads),
         seed_attempts: (per_epoch("route.seed_attempts").iter())
             .map(|name| rec.counter(name))
             .collect(),
@@ -355,16 +350,12 @@ pub(crate) fn run_pool(
                     scope.spawn(move || shared.run_worker())
                 })
                 .collect();
-            on_caller();
             for worker in workers {
                 if let Err(panic) = worker.join() {
                     std::panic::resume_unwind(panic);
                 }
             }
         });
-    } else {
-        (work.drained)();
-        on_caller();
     }
 
     let failure = (shared.failures.iter().enumerate()).find_map(|(job, slot)| {
@@ -547,8 +538,6 @@ struct Shared<'a> {
     /// Signalled when units are published, when the last open job
     /// closes, and when a worker panics.
     ready: Condvar,
-    /// Workers that have not returned yet.
-    live: AtomicUsize,
     /// Routing units executed (one per `(job, seed)` pair), per epoch.
     seed_attempts: Vec<Counter>,
     /// Noise-aware routing oracles built (one per `(map, calibration)`
@@ -568,10 +557,9 @@ struct Queue<'a> {
     /// Sample units, in publication order. They run first: each finishes
     /// a job already under way.
     samples: VecDeque<Unit<'a>>,
-    /// Routing and re-score units, per epoch in publication order. They
-    /// run once the cursor's epoch-0 units are all taken, lowest epoch
-    /// first, so epochs complete — and are emitted — in order.
-    later: Vec<VecDeque<Unit<'a>>>,
+    /// Routing and re-score units, in publication order. They run once
+    /// the cursor's units are all taken.
+    later: VecDeque<Unit<'a>>,
     /// Jobs started but not yet finished or failed — routing, preparing
     /// or sampling — which may yet publish units. A worker with nothing
     /// runnable waits while this is non-zero and returns once it is zero.
@@ -615,8 +603,7 @@ type SeedRoutes = Vec<Option<Result<Routed, TranspileError>>>;
 type FinishedJob<'a> = (CircuitReport, Vec<Item>, Option<PreparedCheck<'a>>);
 
 /// Marks a worker's return. A worker that unwinds leaves its job open
-/// forever, so it wakes the waiting workers for good; the last worker to
-/// return tells the caller ([`PoolWork::drained`]).
+/// forever, so it wakes the waiting workers for good.
 struct Exit<'s, 'a>(&'s Shared<'a>);
 
 impl Drop for Exit<'_, '_> {
@@ -624,9 +611,6 @@ impl Drop for Exit<'_, '_> {
         if std::thread::panicking() {
             self.0.queue().abort = true;
             self.0.ready.notify_all();
-        }
-        if self.0.live.fetch_sub(1, Ordering::AcqRel) == 1 {
-            (self.0.work.drained)();
         }
     }
 }
@@ -675,9 +659,9 @@ impl<'a> Shared<'a> {
     }
 
     /// The next published unit: a sample unit, or, once the cursor has
-    /// run dry (`dry`), any unit, lowest epoch first — blocking while
-    /// none is ready but some job may still publish one. `None` means no
-    /// unit is ready (and, when `dry`, none will come).
+    /// run dry (`dry`), any unit — blocking while none is ready but some
+    /// job may still publish one. `None` means no unit is ready (and,
+    /// when `dry`, none will come).
     fn take(&self, dry: bool) -> Option<Unit<'a>> {
         if !self.queued {
             return None;
@@ -690,7 +674,7 @@ impl<'a> Shared<'a> {
             if !dry {
                 return None;
             }
-            if let Some(unit) = queue.later.iter_mut().find_map(VecDeque::pop_front) {
+            if let Some(unit) = queue.later.pop_front() {
                 return Some(unit);
             }
             if queue.open == 0 || queue.abort {
@@ -755,13 +739,10 @@ impl<'a> Shared<'a> {
             match next {
                 Next::Route(job) => {
                     let units = (job * self.seeds..(job + 1) * self.seeds).map(Unit::Route);
-                    queue.later[self.work.jobs[job].epoch].extend(units);
+                    queue.later.extend(units);
                     queue.open += 1;
                 }
-                Next::Rescore(job, kept) => {
-                    let unit = Unit::Rescore(job, kept);
-                    queue.later[self.work.jobs[job].epoch].push_back(unit);
-                }
+                Next::Rescore(job, kept) => queue.later.push_back(Unit::Rescore(job, kept)),
             }
         }
         self.close(queue, published);

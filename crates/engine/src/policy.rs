@@ -30,21 +30,20 @@
 //! worker applies the policy to the job's following epochs. It publishes
 //! one re-score unit per kept epoch up to the next re-transpile, then that
 //! epoch's routing units, whose adoption continues the chain. No job
-//! waits on another job's epoch; workers take published units lowest
-//! epoch first, so epochs complete in order. The calling thread only
-//! emits, each epoch once all its cells are in, while the workers run
-//! later epochs. The pool builds each noise-aware routing oracle once per
+//! waits on another job's epoch, and no epoch waits for the one before
+//! it to finish. The pool builds each noise-aware routing oracle once per
 //! `(map, calibration snapshot)` pair, so the jobs of one timeline share
 //! it, and each worker keeps one Weyl-point memo for the whole run.
 //!
 //! Like the batch engine, the fleet streams: every `(epoch, job)` cell's
-//! decision and [`CircuitReport`] go to a caller sink, and the run
-//! returns a [`BatchSummary`]. Rollups over the cells (mean delivered
-//! fidelity, re-transpile rate, route reuse per epoch) belong to the
-//! caller — the sweep's `RunRollup` computes them. Every report and
-//! decision is a pure function of `(jobs, config, policy)`,
-//! bit-identical at any thread count; wall clock, cache counters and the
-//! trace ride alongside as diagnostics.
+//! decision and [`CircuitReport`] go to a caller sink on the worker that
+//! finished the cell, in any order, and the run returns a
+//! [`BatchSummary`]. Rollups over the cells (mean delivered fidelity,
+//! re-transpile rate, route reuse per epoch) belong to the caller — the
+//! sweep's `RunRollup` computes them. Every report and decision is a pure
+//! function of `(jobs, config, policy)`, bit-identical at any thread
+//! count; wall clock, cache counters and the trace ride alongside as
+//! diagnostics.
 //!
 //! [`CalibrationTimeline`]: paradrive_transpiler::calibration::drift::CalibrationTimeline
 //! [`Calibration::routed_survival`]: paradrive_transpiler::calibration::Calibration::routed_survival
@@ -62,7 +61,8 @@ use paradrive_transpiler::consolidate::Item;
 use paradrive_transpiler::topology::CouplingMap;
 use paradrive_verify::Verification;
 use std::str::FromStr;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// When does a fleet job re-transpile against the current epoch's
@@ -200,17 +200,6 @@ pub(crate) struct Adopted {
     verification: Option<Verification>,
 }
 
-/// The cells workers have finished and the calling thread has not
-/// emitted yet.
-struct Cells {
-    /// Per `(epoch, job)`, epoch-major: the decision and the report.
-    slots: Vec<Option<(EpochDecision, CircuitReport)>>,
-    /// Cells in per epoch.
-    filled: Vec<usize>,
-    /// Every worker has returned: no more cells will come.
-    drained: bool,
-}
-
 impl RetranspilePolicy {
     /// The first epoch after `adopted` at which `routed`, adopted then,
     /// goes stale on `timeline` (the timeline's epoch count when it never
@@ -256,10 +245,11 @@ impl RetranspilePolicy {
 /// Weyl-point memo per worker and one noise-aware routing oracle per
 /// `(map, calibration snapshot)` pair serve the whole run.
 ///
-/// The sink runs on the calling thread while the workers run later
-/// epochs: in epoch order, each epoch once all its cells are in, and
-/// within an epoch in job submission order. Reports keep their routed
-/// circuit only under [`EngineConfig::keep_routed`], and carry zero
+/// The sink runs on the worker that finished each cell, exactly as
+/// [`run_batch_streaming`]'s does: cells arrive in any order, and calls
+/// may overlap (hence `Sync`), so a caller that needs an order sorts by
+/// `(epoch, job)`. Reports keep their routed circuit only under
+/// [`EngineConfig::keep_routed`], and carry zero
 /// `route_time`/`pipeline_time`. The returned summary holds the
 /// configured worker count, the fleet wall clock, the shared cache
 /// pair's counters, and the run's trace: its spans keyed by fleet job
@@ -275,13 +265,18 @@ impl RetranspilePolicy {
 /// otherwise the [`EngineError::Job`] of the earliest failing `(epoch,
 /// job)` — the earliest epoch, then the first job in submission order —
 /// that fails (invalid calibration, unroutable circuit, a score that
-/// overflows, …). The sink has then seen every earlier epoch and none of
-/// the failing one.
+/// overflows, …). Every other chain still runs to its end, so the sink
+/// has then seen each job's cells up to that job's own failure — a failed
+/// routing ends its chain, while a failed re-score leaves the epochs
+/// around it to report — which a journaling caller keeps, as it does the
+/// cells of a failed [`run_batch_streaming`].
+///
+/// [`run_batch_streaming`]: crate::run_batch_streaming
 pub fn run_fleet(
     jobs: &[FleetJob],
     config: &EngineConfig,
     policy: &RetranspilePolicy,
-    sink: &mut dyn FnMut(usize, usize, EpochDecision, CircuitReport),
+    sink: &(dyn Fn(usize, usize, EpochDecision, CircuitReport) + Sync),
 ) -> Result<BatchSummary, EngineError> {
     let started = Instant::now();
     let n_epochs = jobs.first().map_or(0, |j| j.timeline.epochs());
@@ -308,22 +303,13 @@ pub fn run_fleet(
     // only what the emitted reports retain.
     let inner = config.keep_routed(true);
 
-    let cells = Mutex::new(Cells {
-        slots: (0..n_epochs * n_jobs).map(|_| None).collect(),
-        filled: vec![0; n_epochs],
-        drained: false,
-    });
-    let cells_in = Condvar::new();
-    // `drained` runs as a worker returns, unwinding too, so it must not
-    // panic on a poisoned lock; every update leaves the cells consistent.
-    let lock = || cells.lock().unwrap_or_else(|e| e.into_inner());
-    let store = |r: usize, decision: EpochDecision, report: CircuitReport| {
-        let mut cells = lock();
-        cells.slots[r] = Some((decision, report));
-        cells.filled[r / n_jobs] += 1;
-        if cells.filled[r / n_jobs] == n_jobs {
-            cells_in.notify_one();
-        }
+    // Per epoch, the cells handed out, indexed by `EpochDecision as usize`:
+    // fresh, kept, re-transpiled.
+    let tallies: Vec<[AtomicU64; 3]> = (0..n_epochs).map(|_| Default::default()).collect();
+    let emit = |r: usize, decision: EpochDecision, report: CircuitReport| {
+        let (epoch, j) = (r / n_jobs, r % n_jobs);
+        tallies[epoch][decision as usize].fetch_add(1, Ordering::Relaxed);
+        sink(epoch, j, decision, report);
     };
     // A routed job adopts its route on the worker that finished it, and
     // publishes its chain up to the next re-transpile.
@@ -353,7 +339,7 @@ pub fn run_fleet(
         } else {
             EpochDecision::Retranspiled
         };
-        store(r, decision, report);
+        emit(r, decision, report);
         next
     };
     // A kept job carries its adoption's route and verdict forward — the
@@ -369,11 +355,7 @@ pub fn run_fleet(
             route_time: Duration::ZERO,
             pipeline_time: Duration::ZERO,
         };
-        store(r, EpochDecision::Kept, report);
-    };
-    let drained = || {
-        lock().drained = true;
-        cells_in.notify_one();
+        emit(r, EpochDecision::Kept, report);
     };
     let work = PoolWork {
         // Route job `epoch * n_jobs + j` is job `j` at `epoch`, so a
@@ -396,44 +378,15 @@ pub fn run_fleet(
             .collect(),
         finished: &finished,
         rescored: &rescored,
-        drained: &drained,
     };
-
-    // The calling thread emits each epoch once all its cells are in, and
-    // stops at the first epoch a failure leaves short.
-    let mut decisions = Vec::with_capacity(n_epochs * n_jobs);
-    let emit = || {
-        for epoch in 0..n_epochs {
-            let row: Vec<(EpochDecision, CircuitReport)> = {
-                let mut cells = lock();
-                while cells.filled[epoch] < n_jobs && !cells.drained {
-                    cells = cells_in.wait(cells).unwrap_or_else(|e| e.into_inner());
-                }
-                if cells.filled[epoch] < n_jobs {
-                    return;
-                }
-                (cells.slots[epoch * n_jobs..(epoch + 1) * n_jobs].iter_mut())
-                    .map(|slot| slot.take().expect("a filled epoch holds every cell"))
-                    .collect()
-            };
-            for (j, (decision, report)) in row.into_iter().enumerate() {
-                decisions.push(decision);
-                sink(epoch, j, decision, report);
-            }
-        }
-    };
-    let mut trace = run_pool(&work, &inner, cache_refs, emit)?.trace;
+    let mut trace = run_pool(&work, &inner, cache_refs)?.trace;
 
     let mut oracles = 0;
-    for (epoch, decided) in decisions.chunks(n_jobs.max(1)).enumerate() {
+    for (epoch, tally) in tallies.iter().enumerate() {
         oracles += (trace.counter(&format!("epoch{epoch}.route.oracles"))).unwrap_or(0);
-        for (name, decision) in [
-            ("fresh", EpochDecision::Fresh),
-            ("kept", EpochDecision::Kept),
-            ("retranspiled", EpochDecision::Retranspiled),
-        ] {
-            let count = decided.iter().filter(|&&d| d == decision).count();
-            trace.set_counter(format!("fleet.epoch{epoch}.{name}"), count as u64);
+        for (name, count) in ["fresh", "kept", "retranspiled"].into_iter().zip(tally) {
+            let count = count.load(Ordering::Relaxed);
+            trace.set_counter(format!("fleet.epoch{epoch}.{name}"), count);
         }
     }
     trace.set_counter("fleet.route.oracles".to_string(), oracles);
@@ -457,6 +410,7 @@ mod tests {
     use paradrive_transpiler::fidelity::FidelityModel;
     use paradrive_transpiler::TranspileError;
     use paradrive_verify::VerifyLevel;
+    use std::sync::Mutex;
 
     /// One sink call: `(epoch, job, decision, report)`.
     type Cell = (usize, usize, EpochDecision, CircuitReport);
@@ -477,17 +431,37 @@ mod tests {
             .collect()
     }
 
-    /// Runs the fleet and collects every sink call in arrival order.
+    /// Runs the fleet and collects every sink call, sorted by `(epoch,
+    /// job)`: the sink runs on the workers, in completion order.
     fn collect(
         jobs: &[FleetJob],
         config: &EngineConfig,
         policy: &RetranspilePolicy,
     ) -> Result<(Vec<Cell>, BatchSummary), EngineError> {
-        let mut cells = Vec::new();
-        let summary = run_fleet(jobs, config, policy, &mut |epoch, job, decision, report| {
-            cells.push((epoch, job, decision, report));
+        let cells = Mutex::new(Vec::new());
+        let summary = run_fleet(jobs, config, policy, &|epoch, job, decision, report| {
+            cells.lock().unwrap().push((epoch, job, decision, report));
         })?;
+        let mut cells = cells.into_inner().unwrap();
+        cells.sort_by_key(|c: &Cell| (c.0, c.1));
         Ok((cells, summary))
+    }
+
+    /// Runs a fleet that must fail, and returns the error with every
+    /// `(epoch, job, decision)` the sink saw, sorted.
+    fn failing(
+        jobs: &[FleetJob],
+        config: &EngineConfig,
+        policy: &RetranspilePolicy,
+    ) -> (EngineError, Vec<(usize, usize, EpochDecision)>) {
+        let seen = Mutex::new(Vec::new());
+        let err = run_fleet(jobs, config, policy, &|epoch, job, decision, _| {
+            seen.lock().unwrap().push((epoch, job, decision));
+        })
+        .unwrap_err();
+        let mut seen = seen.into_inner().unwrap();
+        seen.sort_by_key(|&(epoch, job, _)| (epoch, job));
+        (err, seen)
     }
 
     fn cells_identical(a: &[Cell], b: &[Cell]) {
@@ -561,8 +535,7 @@ mod tests {
             },
         )
         .unwrap();
-        // Epoch-major, submission order within an epoch; nothing drifts,
-        // so nothing re-transpiles after the fresh epoch 0.
+        // Nothing drifts, so nothing re-transpiles after the fresh epoch 0.
         let order: Vec<(usize, usize, EpochDecision)> =
             cells.iter().map(|(e, j, d, _)| (*e, *j, *d)).collect();
         assert_eq!(
@@ -690,8 +663,9 @@ mod tests {
         assert!(matches!(err, EngineError::Fleet { .. }), "{err}");
     }
 
-    /// A failing epoch reports its first failing job in submission order,
-    /// and the sink sees none of it.
+    /// A failing epoch reports its first failing job in submission order;
+    /// the sink sees the healthy job's whole timeline and nothing of the
+    /// failing jobs.
     #[test]
     fn a_failing_epoch_reports_its_first_failing_job() {
         let grid = Arc::new(CouplingMap::grid(3, 3));
@@ -708,30 +682,30 @@ mod tests {
             &wrong,
             vec![("bad-a", benchmarks::ghz(9)), ("bad-b", benchmarks::ghz(7))],
         ));
-        let mut cells = 0;
-        let err = run_fleet(
+        let (err, seen) = failing(
             &jobs,
             &EngineConfig::default().routing_seeds(2).threads(2),
             &RetranspilePolicy::Never,
-            &mut |_, _, _, _| cells += 1,
-        )
-        .unwrap_err();
+        );
         let EngineError::Job { job, source } = err else {
             panic!("expected a job error, got {err}");
         };
         assert_eq!(job, "bad-a");
         assert!(matches!(source, TranspileError::InvalidCalibration(_)));
-        assert_eq!(cells, 0);
+        assert_eq!(
+            seen,
+            [(0, 0, EpochDecision::Fresh), (1, 0, EpochDecision::Kept)]
+        );
     }
 
-    /// A job that fails only at a later epoch stops the emission there:
+    /// A job that fails only at a later epoch ends its own chain there:
     /// the error names the earliest failing `(epoch, job)` — not the
     /// first job in submission order to fail at some epoch — and the sink
-    /// has seen exactly the epochs before it, while a healthy job's chain
-    /// runs on through every epoch. Under `Always`, noise-aware routing
-    /// on a line gets stuck once the walk pushes a degraded bridge past
-    /// the router's dead threshold: at epoch 3 on one timeline, at epoch 2
-    /// on the other.
+    /// has seen each job's cells up to its own failure, while a healthy
+    /// job's chain runs on through every epoch. Under `Always`,
+    /// noise-aware routing on a line gets stuck once the walk pushes a
+    /// degraded bridge past the router's dead threshold: at epoch 3 on
+    /// one timeline, at epoch 2 on the other.
     #[test]
     fn a_later_failure_reports_the_earliest_failing_epoch_and_job() {
         let grid = Arc::new(CouplingMap::grid(3, 3));
@@ -760,14 +734,7 @@ mod tests {
                 .routing_seeds(2)
                 .threads(threads)
                 .noise_aware(true);
-            let mut seen = Vec::new();
-            let err = run_fleet(
-                &jobs,
-                &config,
-                &RetranspilePolicy::Always,
-                &mut |epoch, job, decision, _| seen.push((epoch, job, decision)),
-            )
-            .unwrap_err();
+            let (err, seen) = failing(&jobs, &config, &RetranspilePolicy::Always);
             let EngineError::Job { job, source } = err else {
                 panic!("expected a job error, got {err}");
             };
@@ -776,31 +743,33 @@ mod tests {
                 matches!(source, TranspileError::RoutingStuck { .. }),
                 "{source:?}"
             );
-            let want: Vec<(usize, usize, EpochDecision)> = (0..2)
-                .flat_map(|epoch| {
+            // `healthy` runs all four epochs, each line job up to its own
+            // failure.
+            let mut want = Vec::new();
+            for (job, epochs) in [(0, 4), (1, 3), (2, 2)] {
+                for epoch in 0..epochs {
                     let decision = if epoch == 0 {
                         EpochDecision::Fresh
                     } else {
                         EpochDecision::Retranspiled
                     };
-                    (0..3).map(move |job| (epoch, job, decision))
-                })
-                .collect();
+                    want.push((epoch, job, decision));
+                }
+            }
+            want.sort_by_key(|&(epoch, job, _)| (epoch, job));
             assert_eq!(seen, want, "{threads} thread(s)");
         }
         // Each line job alone fails at its own epoch, so the order above
         // is the earliest epoch's, not the submission order's.
         for (job, epoch) in [(1, 3), (2, 2)] {
-            let mut epochs = 0;
-            let err = run_fleet(
+            let (err, seen) = failing(
                 &jobs[job..=job],
                 &EngineConfig::default().routing_seeds(2).noise_aware(true),
                 &RetranspilePolicy::Always,
-                &mut |e, _, _, _| epochs = epochs.max(e + 1),
-            )
-            .unwrap_err();
+            );
             assert!(matches!(err, EngineError::Job { .. }), "{err}");
-            assert_eq!(epochs, epoch, "{}", jobs[job].name);
+            let epochs: Vec<usize> = seen.iter().map(|c| c.0).collect();
+            assert_eq!(epochs, Vec::from_iter(0..epoch), "{}", jobs[job].name);
         }
     }
 

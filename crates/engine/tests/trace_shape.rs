@@ -15,7 +15,7 @@ use paradrive_transpiler::calibration::drift::{CalibrationTimeline, DriftSpec};
 use paradrive_transpiler::calibration::Calibration;
 use paradrive_transpiler::fidelity::FidelityModel;
 use paradrive_transpiler::topology::CouplingMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 const SEEDS: u64 = 3;
 const SAMPLES: u32 = 2;
@@ -215,7 +215,8 @@ fn drifting_fleet() -> (Vec<FleetJob>, Vec<usize>) {
     (jobs, timeline_of)
 }
 
-/// The fleet at `threads` workers: its decisions, in sink order, and its
+/// The fleet at `threads` workers: its decisions, sorted by `(epoch,
+/// job)` (the sink runs on the workers, in completion order), and its
 /// summary.
 fn run_drifting(
     jobs: &[FleetJob],
@@ -228,11 +229,13 @@ fn run_drifting(
     let policy = RetranspilePolicy::Adaptive {
         max_fidelity_loss: 0.02,
     };
-    let mut decisions = Vec::new();
-    let summary = run_fleet(jobs, &config, &policy, &mut |epoch, job, decision, _| {
-        decisions.push((epoch, job, decision));
+    let decisions = Mutex::new(Vec::new());
+    let summary = run_fleet(jobs, &config, &policy, &|epoch, job, decision, _| {
+        decisions.lock().unwrap().push((epoch, job, decision));
     })
     .expect("drifting fleet");
+    let mut decisions = decisions.into_inner().unwrap();
+    decisions.sort_by_key(|&(epoch, job, _)| (epoch, job));
     (decisions, summary)
 }
 

@@ -115,12 +115,6 @@ impl CMat {
         &self.data
     }
 
-    /// Mutable borrow of the underlying row-major entries.
-    #[inline]
-    pub fn as_mut_slice(&mut self) -> &mut [C64] {
-        &mut self.data
-    }
-
     /// Checked entry access.
     #[inline]
     pub fn get(&self, r: usize, c: usize) -> Option<&C64> {

@@ -6,9 +6,11 @@
 //! instead of O(grid): [`run_sweep_shard`] hands the engine a
 //! [`paradrive_engine::JobSink`] (the fleet a sink of the same shape)
 //! that converts every [`paradrive_engine::CircuitReport`] into a
-//! [`SweepCell`], dropping the routed circuit after reading its depth,
-//! and optionally journals it — the full report is never retained. Once
-//! a run's cells are in, they fold through [`RunRollup`] once.
+//! [`SweepCell`] on the worker that finished it, dropping the routed
+//! circuit after reading its depth, and optionally journals it — the full
+//! report is never retained. Cells land, and are journaled, in completion
+//! order; once a run's cells are in, they fold through [`RunRollup`] once,
+//! and the shard's cells sort by ordinal before a report renders them.
 //!
 //! Sharding rides on the deterministic cell identity from
 //! [`super::cell`]: `--shards N --shard i` selects the cells whose
@@ -77,12 +79,43 @@ pub fn run_sweep(spec: &SweepSpec) -> Result<SweepOutcome, SweepError> {
 
 /// Mutable state shared with the engine's worker threads through the
 /// job sink: completed cells and the journal. The sink cannot return
-/// errors, so journal failures park here and surface once the batch
+/// errors, so journal failures park here and surface once the run
 /// drains.
 struct SinkState<'a> {
     cells: Vec<SweepCell>,
     journal: Option<&'a mut Journal>,
     journal_err: Option<SweepError>,
+}
+
+impl<'a> SinkState<'a> {
+    fn new(journal: Option<&'a mut Journal>, capacity: usize) -> Mutex<Self> {
+        Mutex::new(SinkState {
+            cells: Vec::with_capacity(capacity),
+            journal,
+            journal_err: None,
+        })
+    }
+
+    /// Journals `cell` as it arrives and keeps it.
+    fn land(&mut self, cell: SweepCell) {
+        if self.journal_err.is_none() {
+            if let Some(journal) = self.journal.as_mut() {
+                if let Err(e) = journal.append(&cell) {
+                    self.journal_err = Some(e);
+                }
+            }
+        }
+        self.cells.push(cell);
+    }
+
+    /// The landed cells, or the first journal failure.
+    fn finish(state: Mutex<Self>) -> Result<Vec<SweepCell>, SweepError> {
+        let state = state.into_inner().expect("sweep sink state poisoned");
+        match state.journal_err {
+            Some(e) => Err(e),
+            None => Ok(state.cells),
+        }
+    }
 }
 
 /// The cell a planned grid point became: the engine's report for it,
@@ -333,6 +366,8 @@ pub fn run_sweep_shard(
     if let Some(journal) = journal.as_mut() {
         journal.finish(shard_cells.len())?;
     }
+    // Cells landed in completion order; this is where output order is
+    // fixed.
     all_cells.sort_by_key(|c| c.ordinal);
     Ok(SweepOutcome {
         fingerprint: plan.fingerprint(),
@@ -346,9 +381,9 @@ pub fn run_sweep_shard(
 /// Drift path: one fleet replay per run. Each distinct (topology,
 /// calibration, seed, benchmark) tuple with at least one pending cell
 /// becomes a fleet job, and the whole timeline re-runs — a fleet replay
-/// is a pure function of the spec — but only pending cells are emitted,
-/// so shard/merge/resume stay byte-identical to an unsharded run. The
-/// cells are journaled once the replay returns, in ordinal order.
+/// is a pure function of the spec — but only pending cells are kept, so
+/// shard/merge/resume stay byte-identical to an unsharded run. Cells are
+/// journaled as they complete.
 fn run_fleet_cells(
     plan: &SweepPlan,
     run: (Costing, VerifyLevel),
@@ -382,24 +417,19 @@ fn run_fleet_cells(
             }
         })
         .collect();
-    let mut cells = Vec::with_capacity(pending.len());
+    let state = SinkState::new(journal, pending.len());
     let summary = run_fleet(
         &jobs,
         config,
         &plan.spec().policy,
-        &mut |epoch, job, decision, report| {
+        &|epoch, job, decision, report| {
             if let Some(planned) = pending_at.get(&(epoch, job)) {
-                cells.push(cell_of(plan, planned, run, decision.label(), report));
+                let cell = cell_of(plan, planned, run, decision.label(), report);
+                state.lock().expect("sweep sink state poisoned").land(cell);
             }
         },
     )?;
-    cells.sort_by_key(|c| c.ordinal);
-    if let Some(journal) = journal {
-        for cell in &cells {
-            journal.append(cell)?;
-        }
-    }
-    out.extend(cells);
+    out.extend(SinkState::finish(state)?);
     Ok(summary)
 }
 
@@ -426,32 +456,13 @@ fn run_batch_cells(
         );
     }
 
-    let state = Mutex::new(SinkState {
-        cells: Vec::with_capacity(pending.len()),
-        journal,
-        journal_err: None,
-    });
+    let state = SinkState::new(journal, pending.len());
     let sink = |job: usize, report: CircuitReport| {
         let cell = cell_of(plan, pending[job], run, "-", report);
-        let mut state = state.lock().expect("sweep sink state poisoned");
-        if state.journal_err.is_none() {
-            if let Some(journal) = state.journal.as_mut() {
-                if let Err(e) = journal.append(&cell) {
-                    state.journal_err = Some(e);
-                }
-            }
-        }
-        state.cells.push(cell);
+        state.lock().expect("sweep sink state poisoned").land(cell);
     };
     let mut summary = run_batch_streaming(&batch, config, &sink)?;
-    let SinkState {
-        mut cells,
-        journal_err,
-        ..
-    } = state.into_inner().expect("sweep sink state poisoned");
-    if let Some(e) = journal_err {
-        return Err(e);
-    }
+    let mut cells = SinkState::finish(state)?;
 
     // Rebuild per-cell time (route + pipeline) from the trace, which keys
     // every span by job index: busy time summed over every worker that

@@ -4,7 +4,7 @@
 //! re-transpiling on cost; a calm (zero-volatility) timeline reproduces
 //! the static sweep's numbers in every epoch; and the drifted report —
 //! fleet rollups included — is bit-identical across thread counts,
-//! shard splits, and journal resumes that cut across an epoch boundary.
+//! shard splits, and journal resumes cut after any number of cells.
 
 use paradrive_engine::RetranspilePolicy;
 use paradrive_repro::sweep::{
@@ -205,9 +205,10 @@ fn drifted_report_is_thread_shard_and_resume_invariant() {
     assert_eq!(merged.render(), want, "2-way shard merge diverged");
     assert_eq!(merged.to_jsonl(), want_jsonl);
 
-    // Resume invariance across an epoch boundary: keep the journal's
-    // header plus the first job's epoch-0 cell only, torn mid-line on
-    // the epoch-1 cell, and resume with a different thread count.
+    // Resume invariance: cells are journaled in completion order, so a
+    // kill can leave any prefix of them, cutting across epochs and jobs.
+    // Keep the journal's header plus the first k cells, torn mid-line on
+    // the next line, for every k, and resume with another thread count.
     let journal_path = dir.join("journal.jsonl");
     let opts = ShardOptions {
         journal: Some(&journal_path),
@@ -218,29 +219,32 @@ fn drifted_report_is_thread_shard_and_resume_invariant() {
     let full = fs::read_to_string(&journal_path).unwrap();
     let lines: Vec<&str> = full.lines().collect();
     assert_eq!(lines.len(), reference.cells.len() + 2);
-    let mut torn = lines[..2].join("\n");
-    torn.push('\n');
-    torn.push_str(&lines[2][..lines[2].len() / 2]);
-    fs::write(&journal_path, &torn).unwrap();
-    let resumed = at_threads(
-        &spec,
-        1,
-        &ShardOptions {
-            journal: Some(&journal_path),
-            resume: true,
-            ..ShardOptions::default()
-        },
-    );
-    assert_eq!(resumed.render(), want, "epoch-boundary resume diverged");
-    assert_eq!(resumed.to_jsonl(), want_jsonl);
-    // The one restored cell was epoch 0 of the first job; the rest of
-    // its timeline was re-derived, not guessed.
-    let restored = resumed.cells.iter().filter(|c| c.wall.is_zero()).count();
-    assert_eq!(
-        restored,
-        resumed.cells.len(),
-        "fleet cells carry no wall time"
-    );
+    for k in 0..=reference.cells.len() {
+        let mut torn = lines[..1 + k].join("\n");
+        torn.push('\n');
+        torn.push_str(&lines[1 + k][..lines[1 + k].len() / 2]);
+        fs::write(&journal_path, &torn).unwrap();
+        let resumed = at_threads(
+            &spec,
+            if k % 2 == 0 { 1 } else { 4 },
+            &ShardOptions {
+                journal: Some(&journal_path),
+                resume: true,
+                ..ShardOptions::default()
+            },
+        );
+        // The k restored cells were read back; the rest of every job's
+        // timeline was re-derived, not guessed.
+        assert_eq!(resumed.render(), want, "resume after {k} cell(s) diverged");
+        assert_eq!(resumed.to_jsonl(), want_jsonl, "resume after {k} cell(s)");
+        assert!(
+            resumed.cells.iter().all(|c| c.wall.is_zero()),
+            "fleet cells carry no wall time"
+        );
+        let rejournaled = read_journal(&journal_path).unwrap();
+        assert!(rejournaled.done, "resume after {k} cell(s) did not finish");
+        assert_eq!(rejournaled.cells.len(), reference.cells.len());
+    }
     let _ = fs::remove_dir_all(&dir);
 }
 

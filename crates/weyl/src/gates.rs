@@ -6,7 +6,7 @@
 use crate::coord::WeylPoint;
 use paradrive_linalg::expm::expm;
 use paradrive_linalg::{paulis, CMat, C64};
-use std::f64::consts::{FRAC_PI_2, FRAC_PI_4};
+use std::f64::consts::FRAC_PI_2;
 
 /// The canonical gate `CAN(c1,c2,c3) = exp(+i/2 (c1·XX + c2·YY + c3·ZZ))`.
 ///
@@ -109,11 +109,6 @@ pub fn b_gate() -> CMat {
 /// √B, `CAN(π/4, π/8, 0)`.
 pub fn sqrt_b() -> CMat {
     can(WeylPoint::SQRT_B)
-}
-
-/// The fractional B family representative `CAN(t·π/2, t·π/4, 0)`.
-pub fn b_frac(t: f64) -> CMat {
-    can(WeylPoint::new(t * FRAC_PI_2, t * FRAC_PI_4, 0.0))
 }
 
 /// √SWAP, `CAN(π/4, π/4, π/4)`.
