@@ -13,8 +13,8 @@
 //!   against the static `sweep/smoke_single` path.
 //! - `fleet/rollup_fleet_fold` — the pure fleet-summary fold: folding
 //!   10k decision-carrying cells and finalizing the per-epoch rollup.
-//!   This is the extra per-cell streaming cost a drifted sweep pays over
-//!   a static one.
+//!   This is the extra per-cell fold cost a drifted sweep pays over a
+//!   static one.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use paradrive_engine::RetranspilePolicy;

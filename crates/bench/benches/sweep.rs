@@ -12,8 +12,9 @@
 //!   tax: double planning, serialization, parsing, coverage validation
 //!   and rollup refold.
 //! - `sweep/rollup_fold` — the pure rollup layer: folding 10k synthetic
-//!   cells into a `RunRollup` and finalizing. This is the per-cell
-//!   streaming cost the engine sink pays, isolated from the engine.
+//!   cells, in ordinal order, into a `RunRollup` and finalizing. This is
+//!   the per-cell cost of the one fold every outcome takes after its
+//!   cells are sorted, isolated from the engine.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use paradrive_repro::sweep::{
@@ -66,8 +67,7 @@ fn bench_sharded_merge(c: &mut Criterion) {
 
 fn bench_rollup_fold(c: &mut Criterion) {
     // Synthetic cells cycling over a handful of group keys, like a real
-    // grid does; values spread across magnitudes to keep the exact
-    // accumulator honest.
+    // grid does, with values that vary from cell to cell.
     let topologies = ["grid4x4", "ring16", "heavy-hex3", "modular2x8x2"];
     let calibrations = ["uniform", "spread0.25", "hotspot2"];
     let cells: Vec<SweepCell> = (0..10_000u64)

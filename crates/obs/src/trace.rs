@@ -240,13 +240,15 @@ impl Trace {
     ///
     /// Span names are interned into a process-global table (they are
     /// `&'static str` on [`SpanEvent`]); the set of distinct stage names
-    /// is small and fixed, so the table stays bounded. Nanosecond fields
-    /// ride through an `f64` (the JSON number type) and are exact up to
-    /// 2^53 ns ≈ 104 days — far past any real trace.
+    /// is small and fixed, so the table stays bounded. Every number rides
+    /// through an `f64` (the JSON number type), exact only below 2^53, so
+    /// each must be a whole number in `0..2^53` (2^53 ns ≈ 104 days, far
+    /// past any real trace) and a `tid` at most `u32::MAX`.
     ///
     /// # Errors
     ///
-    /// Returns a message naming the first malformed line.
+    /// Returns a message naming the first malformed line and, for a bad
+    /// number, its field.
     pub fn from_jsonl(text: &str) -> Result<Trace, String> {
         let mut trace = Trace::default();
         for (i, line) in text.lines().enumerate() {
@@ -255,11 +257,17 @@ impl Trace {
             }
             let bad = |what: &str| format!("trace line {}: {what}", i + 1);
             let v = crate::json::parse(line).map_err(|e| bad(&e.to_string()))?;
-            let field_u64 = |key: &str| -> Result<u64, String> {
-                v.get(key)
+            let field_u64 = |key: &str, max: f64| -> Result<u64, String> {
+                let x = v
+                    .get(key)
                     .and_then(crate::json::Value::as_f64)
-                    .map(|x| x as u64)
-                    .ok_or_else(|| bad(&format!("missing numeric `{key}`")))
+                    .ok_or_else(|| bad(&format!("missing numeric `{key}`")))?;
+                if x.fract() != 0.0 || !(0.0..=max).contains(&x) {
+                    return Err(bad(&format!(
+                        "`{key}` is not a whole number in 0..={max}: {x}"
+                    )));
+                }
+                Ok(x as u64)
             };
             let field_str = |key: &str| -> Result<&str, String> {
                 v.get(key)
@@ -270,14 +278,15 @@ impl Trace {
                 "span" => trace.spans.push(SpanEvent {
                     name: intern(field_str("name")?),
                     label: field_str("label")?.to_string(),
-                    key: field_u64("key")?,
-                    tid: field_u64("tid")? as u32,
-                    start_ns: field_u64("start_ns")?,
-                    dur_ns: field_u64("dur_ns")?,
+                    key: field_u64("key", EXACT_MAX)?,
+                    tid: field_u64("tid", u32::MAX as f64)? as u32,
+                    start_ns: field_u64("start_ns", EXACT_MAX)?,
+                    dur_ns: field_u64("dur_ns", EXACT_MAX)?,
                 }),
-                "counter" => trace
-                    .counters
-                    .push((field_str("name")?.to_string(), field_u64("value")?)),
+                "counter" => trace.counters.push((
+                    field_str("name")?.to_string(),
+                    field_u64("value", EXACT_MAX)?,
+                )),
                 other => return Err(bad(&format!("unknown entry type `{other}`"))),
             }
         }
@@ -288,6 +297,10 @@ impl Trace {
         Ok(trace)
     }
 }
+
+/// The largest of the whole numbers below 2^53, which a JSON number (an
+/// `f64`) carries exactly.
+const EXACT_MAX: f64 = 9_007_199_254_740_991.0;
 
 /// Deduplicating `&'static str` intern table for imported span names.
 /// Leaks at most one allocation per *distinct* name ever imported — the

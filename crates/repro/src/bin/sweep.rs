@@ -44,7 +44,8 @@
 //! `--shards N --shard I` runs only the cells whose deterministic ordinal
 //! ≡ I (mod N) — the same spec flags on every process slice one grid
 //! consistently. `--out FILE` writes the machine-readable JSONL mirror of
-//! the report (cells in ordinal order, rollups, verdicts). `--journal
+//! the report in the journal dialect (a header, the cells in ordinal
+//! order, a trailer; `merge` re-derives the rollups). `--journal
 //! FILE` appends every completed cell to a crash-safe journal as it
 //! lands; rerunning with `--resume` restores those cells and runs only
 //! what's missing, producing a bit-identical report.

@@ -11,11 +11,14 @@
 //!   completion order, flushed per line — a killed run loses at most the
 //!   torn tail of its final line, which [`read_journal`] truncates away
 //!   on `--resume`.
-//! - **shard report / `--out` mirror**: written at the end of a run,
-//!   cells sorted by ordinal plus `rollup`/`verification` summary lines —
-//!   fully deterministic bytes for a given spec and shard.
+//! - **shard report / `--out` mirror**: written at the end of a run, the
+//!   same lines with the cells sorted by ordinal — fully deterministic
+//!   bytes for a given spec and shard. It carries no rollups: `sweep
+//!   merge` re-derives them from the cells.
 //! - **merge input**: `sweep merge` accepts either of the above; coverage
-//!   validation downstream catches incomplete journals.
+//!   validation downstream catches incomplete journals. Mirrors written
+//!   before the rollups left them also carry `rollup`, `verification`
+//!   and `fleet` summary lines, which the reader skips.
 //!
 //! Numbers that must survive the round trip exactly use conservative
 //! encodings: `u64` digests and seeds travel as strings (JSON numbers go
@@ -48,7 +51,7 @@ pub struct Meta {
 /// Formats an `f64` as a JSON value that parses back bit-identically:
 /// shortest-round-trip decimal for finite values, quoted sentinels for
 /// the non-finite ones JSON cannot spell.
-pub(crate) fn fmt_f64(x: f64) -> String {
+fn fmt_f64(x: f64) -> String {
     if x.is_nan() {
         "\"NaN\"".to_string()
     } else if x == f64::INFINITY {
@@ -374,8 +377,8 @@ pub fn parse_journal(text: &str, origin: &str) -> Result<JournalContents, SweepE
                 done = true;
                 Ok(())
             }
-            // Rollup summary lines in `--out` mirrors are derivable from
-            // the cells; merge refolds them and skips these.
+            // Older `--out` mirrors carry rollup summary lines; merge
+            // re-derives every rollup from the cells and skips these.
             "rollup" | "verification" | "fleet" => Ok(()),
             other => Err(format!("unknown line type {other:?}")),
         };

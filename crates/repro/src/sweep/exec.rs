@@ -9,16 +9,17 @@
 //! [`SweepCell`] on the worker that finished it, dropping the routed
 //! circuit after reading its depth, and optionally journals it — the full
 //! report is never retained. Cells land, and are journaled, in completion
-//! order; once a run's cells are in, they fold through [`RunRollup`] once,
-//! and the shard's cells sort by ordinal before a report renders them.
+//! order.
 //!
-//! Sharding rides on the deterministic cell identity from
+//! Every outcome then takes one tail, whether its cells ran, were
+//! restored by `--resume` or came from shard reports: the cells sort by
+//! ordinal, and each run's cells fold through [`RunRollup`] once, in that
+//! order. Sharding rides on the deterministic cell identity from
 //! [`super::cell`]: `--shards N --shard i` selects the cells whose
 //! ordinal ≡ i (mod N), and [`merge_reports`] recombines any complete
 //! set of shard reports into a [`SweepOutcome`] whose rendered report is
-//! byte-identical to a single-process run — the rollups fold cells in
-//! any order to the same bits, and the cell rows sort back into canonical
-//! ordinal order.
+//! byte-identical to a single-process run, because both fold the same
+//! cells in the same order.
 
 use super::cell::{costing_label, PlannedCell, SweepCell, SweepPlan};
 use super::checkpoint::{Journal, JournalContents, Meta};
@@ -208,19 +209,14 @@ fn label_mismatch(plan: &SweepPlan, planned: &PlannedCell, cell: &SweepCell) -> 
         })
 }
 
-/// A run's aggregate: its cells folded through [`RunRollup`] once, plus
-/// the engine's diagnostics when the run executed. Fully restored runs
-/// and merges pass `None` and report no threads, wall clock, cache or
-/// trace.
-fn sweep_run<'c>(
+/// A run's aggregate: its folded rollup plus the engine's diagnostics
+/// when the run executed. Fully restored runs and merges pass `None` and
+/// report no threads, wall clock, cache or trace.
+fn sweep_run(
     (costing, verify): (Costing, VerifyLevel),
-    cells: impl IntoIterator<Item = &'c SweepCell>,
+    rollup: &RunRollup,
     summary: Option<BatchSummary>,
 ) -> SweepRun {
-    let mut rollup = RunRollup::new();
-    for cell in cells {
-        rollup.absorb(cell);
-    }
     let (threads, wall_clock, cache, trace) = match summary {
         Some(s) => (s.threads, s.wall_clock, s.cache_stats(), s.trace),
         None => (0, Duration::ZERO, None, Trace::default()),
@@ -236,6 +232,38 @@ fn sweep_run<'c>(
         verification: rollup.verification(),
         fleet: rollup.fleet(),
         trace,
+    }
+}
+
+/// The tail every outcome takes, executed, resumed, restored or merged:
+/// sorts `cells` by ordinal, which fixes output order, then folds each
+/// run's cells through one [`RunRollup`] in that order. `summaries`
+/// holds each run's engine diagnostics, in run order.
+fn fold_outcome(
+    plan: &SweepPlan,
+    (shards, shard): (usize, usize),
+    mut cells: Vec<SweepCell>,
+    summaries: Vec<Option<BatchSummary>>,
+) -> SweepOutcome {
+    cells.sort_by_key(|c| c.ordinal);
+    let mut rollups = vec![RunRollup::new(); plan.runs().len()];
+    for cell in &cells {
+        // A cell's ordinal is its index in the plan.
+        rollups[plan.cells()[cell.ordinal as usize].run].absorb(cell);
+    }
+    let runs = plan
+        .runs()
+        .iter()
+        .zip(&rollups)
+        .zip(summaries)
+        .map(|((&run, rollup), summary)| sweep_run(run, rollup, summary))
+        .collect();
+    SweepOutcome {
+        fingerprint: plan.fingerprint(),
+        shards,
+        shard,
+        cells,
+        runs,
     }
 }
 
@@ -278,8 +306,6 @@ pub fn run_sweep_shard(
         Some(path) => (Some(Journal::create(path, meta)?), Vec::new()),
         None => (None, Vec::new()),
     };
-    let by_ordinal: HashMap<u64, &PlannedCell> =
-        plan.cells().iter().map(|c| (c.id.ordinal, c)).collect();
     let mut restored_by_ordinal: HashMap<u64, SweepCell> = HashMap::new();
     for cell in restored {
         let journal_path = || {
@@ -287,8 +313,9 @@ pub fn run_sweep_shard(
                 .map(|p| p.display().to_string())
                 .unwrap_or_default()
         };
-        let planned = by_ordinal
-            .get(&cell.ordinal)
+        let planned = usize::try_from(cell.ordinal)
+            .ok()
+            .and_then(|i| plan.cells().get(i))
             .ok_or_else(|| SweepError::SpecMismatch {
                 path: journal_path(),
                 reason: format!(
@@ -326,22 +353,20 @@ pub fn run_sweep_shard(
     }
 
     let shard_cells = plan.shard_cells(shards, opts.shard);
-    let mut runs = Vec::with_capacity(plan.runs().len());
-    let mut all_cells: Vec<SweepCell> = Vec::with_capacity(shard_cells.len());
-
+    let mut summaries = Vec::with_capacity(plan.runs().len());
+    let mut cells: Vec<SweepCell> = Vec::with_capacity(shard_cells.len());
     for (run_idx, &run) in plan.runs().iter().enumerate() {
-        let first = all_cells.len();
-        // Restored cells join the run first; they are grid cells like any
-        // other, just with no wall time and no fresh engine work.
+        // Restored cells join the run as they are; they are grid cells
+        // like any other, just with no wall time and no fresh engine work.
         let mut pending: Vec<&PlannedCell> = Vec::new();
         for cell in shard_cells.iter().filter(|c| c.run == run_idx) {
             match restored_by_ordinal.remove(&cell.id.ordinal) {
-                Some(done) => all_cells.push(done),
+                Some(done) => cells.push(done),
                 None => pending.push(cell),
             }
         }
         // Fully restored runs (or empty shard slices) skip the engine.
-        let summary = if pending.is_empty() {
+        summaries.push(if pending.is_empty() {
             None
         } else {
             let (costing, verify) = run;
@@ -355,27 +380,17 @@ pub fn run_sweep_shard(
                 .keep_routed(true);
             let journal = journal.as_mut();
             Some(if plan.drift().is_some() {
-                run_fleet_cells(&plan, run, &pending, &config, journal, &mut all_cells)?
+                run_fleet_cells(&plan, run, &pending, &config, journal, &mut cells)?
             } else {
-                run_batch_cells(&plan, run, &pending, &config, journal, &mut all_cells)?
+                run_batch_cells(&plan, run, &pending, &config, journal, &mut cells)?
             })
-        };
-        runs.push(sweep_run(run, &all_cells[first..], summary));
+        });
     }
 
     if let Some(journal) = journal.as_mut() {
         journal.finish(shard_cells.len())?;
     }
-    // Cells landed in completion order; this is where output order is
-    // fixed.
-    all_cells.sort_by_key(|c| c.ordinal);
-    Ok(SweepOutcome {
-        fingerprint: plan.fingerprint(),
-        shards,
-        shard: opts.shard,
-        cells: all_cells,
-        runs,
-    })
+    Ok(fold_outcome(&plan, (shards, opts.shard), cells, summaries))
 }
 
 /// Drift path: one fleet replay per run. Each distinct (topology,
@@ -512,9 +527,9 @@ fn run_batch_cells(
 /// single-process run of `spec` would have produced: validates that
 /// every input carries the spec's fingerprint and a consistent shard
 /// count, that the union of cells covers the planned grid exactly once
-/// with matching digests, then refolds every cell through the same
-/// order-independent rollups the live runs used — so
-/// [`SweepOutcome::render`] is byte-identical to the unsharded run.
+/// with matching digests, then folds the cells in ordinal order through
+/// the tail a live run takes — so [`SweepOutcome::render`] is
+/// byte-identical to the unsharded run.
 ///
 /// The merged outcome carries no wall-clock state (threads 0, empty
 /// traces): timings are per-process diagnostics, and the shard traces
@@ -627,25 +642,13 @@ pub fn merge_reports(
         )));
     }
 
-    // Refold through the same rollups the live runs used.
-    let ordinal_to_run: HashMap<u64, usize> =
-        plan.cells().iter().map(|c| (c.id.ordinal, c.run)).collect();
-    let mut cells: Vec<SweepCell> = by_ordinal.into_values().collect();
-    cells.sort_by_key(|c| c.ordinal);
-    let runs = plan
-        .runs()
-        .iter()
-        .enumerate()
-        .map(|(i, &run)| {
-            let of_run = cells.iter().filter(|c| ordinal_to_run[&c.ordinal] == i);
-            sweep_run(run, of_run, None)
-        })
+    let summaries = std::iter::repeat_with(|| None)
+        .take(plan.runs().len())
         .collect();
-    Ok(SweepOutcome {
-        fingerprint: plan.fingerprint(),
-        shards: 1,
-        shard: 0,
-        cells,
-        runs,
-    })
+    Ok(fold_outcome(
+        &plan,
+        (1, 0),
+        by_ordinal.into_values().collect(),
+        summaries,
+    ))
 }

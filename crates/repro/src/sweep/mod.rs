@@ -35,17 +35,18 @@
 //!   grid in canonical order, assigning every cell a stable ordinal and
 //!   a digest over its full axis tuple, anchored to a spec
 //!   [fingerprint](SweepPlan::fingerprint).
-//! - `rollup`: streaming summaries over an exact, order-independent
-//!   accumulator ([`ExactSum`]), so cells folded in any order — live
-//!   completions, journal restores, merged shards — give identical bytes.
+//! - `rollup`: per-run summaries ([`RunRollup`]), plain `f64` sums over
+//!   a run's cells in ordinal order.
 //! - `exec`: streaming shard execution — [`run_sweep_shard`] turns each
 //!   engine or fleet report into a cell as it lands (report retention
-//!   O(in-flight), not O(grid)) and folds each run's cells into its
-//!   rollups once, and [`merge_reports`] recombines shard reports into
-//!   the single-process outcome.
+//!   O(in-flight), not O(grid)), and [`merge_reports`] recombines shard
+//!   reports into the single-process outcome. Both end in one tail that
+//!   sorts the cells by ordinal and folds each run's rollups once, so
+//!   live completions, journal restores and merged shards fold the same
+//!   cells in the same order and give identical bytes.
 //! - `checkpoint`: the append-only completed-cell [`Journal`] behind
-//!   `--journal`/`--resume`, and the shared JSONL dialect for shard
-//!   reports and the `--out` mirror.
+//!   `--journal`/`--resume`, and the shared JSONL dialect for journals,
+//!   shard reports and the `--out` mirror, which holds nothing but cells.
 //! - `render`: the deterministic report ([`SweepOutcome::render`]) and
 //!   per-process diagnostics ([`SweepOutcome::render_timings`]).
 //!
@@ -69,8 +70,7 @@ pub use checkpoint::{parse_journal, read_journal, Journal, JournalContents, Meta
 pub use exec::{merge_reports, run_sweep, run_sweep_shard, ShardOptions, SweepOutcome};
 pub use render::splice_shard_traces;
 pub use rollup::{
-    CalibrationSummary, ExactSum, FleetEpochSummary, FleetSummary, RunRollup, SweepRun,
-    TopologySummary,
+    CalibrationSummary, FleetEpochSummary, FleetSummary, RunRollup, SweepRun, TopologySummary,
 };
 pub use spec::{
     parse_calibration, parse_count, parse_drift, parse_topology, CalibrationParseError,
@@ -291,8 +291,38 @@ mod tests {
         assert_eq!(contents.meta.fingerprint, out.fingerprint);
         assert!(contents.done);
         assert_eq!(contents.cells.len(), out.cells.len());
+        // The mirror is the journal dialect and nothing else: the header,
+        // one cell line per cell in ordinal order, and the trailer.
+        let mut cells: Vec<&SweepCell> = out.cells.iter().collect();
+        cells.sort_by_key(|c| c.ordinal);
+        let mut want = checkpoint::meta_line(&contents.meta) + "\n";
+        for cell in &cells {
+            want += &(checkpoint::cell_line(cell) + "\n");
+        }
+        want += &(checkpoint::done_line(cells.len()) + "\n");
+        assert_eq!(jsonl, want);
         // Feeding the mirror back through merge reproduces the render.
         let merged = merge_reports(&spec, vec![(path.display().to_string(), contents)]).unwrap();
+        assert_eq!(merged.render(), out.render());
+        assert_eq!(merged.to_jsonl(), jsonl);
+
+        // Older mirrors also carry summary lines before the trailer;
+        // merge skips them and re-derives the same rollups from the cells.
+        let older = jsonl.replace(
+            "{\"type\":\"shard-done\"",
+            concat!(
+                r#"{"type":"rollup","costing":"hull","verify":"off","axis":"topology","key":"grid4x4","cells":2,"swaps":18,"mean_reduction_pct":13.2}"#,
+                "\n",
+                r#"{"type":"verification","costing":"hull","verify":"off","exact":0,"mps":0,"sampled":6,"skipped":0,"errors":0,"failed":0,"min_fidelity":1}"#,
+                "\n",
+                r#"{"type":"fleet","costing":"hull","verify":"off","summary":true,"mean_delivered_ft":0.3,"total_retranspiles":2,"retranspile_rate":0.5}"#,
+                "\n",
+                "{\"type\":\"shard-done\"",
+            ),
+        );
+        let contents = parse_journal(&older, "older.jsonl").unwrap();
+        assert!(contents.done);
+        let merged = merge_reports(&spec, vec![("older.jsonl".to_string(), contents)]).unwrap();
         assert_eq!(merged.render(), out.render());
         assert_eq!(merged.to_jsonl(), jsonl);
     }

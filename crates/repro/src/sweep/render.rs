@@ -12,7 +12,6 @@
 use super::checkpoint::{self, Meta};
 use super::exec::SweepOutcome;
 use paradrive_engine::Trace;
-use paradrive_obs::json;
 use std::fmt::Write as _;
 
 impl SweepOutcome {
@@ -186,8 +185,8 @@ impl SweepOutcome {
                 run.threads,
             );
             if run.fleet.is_some() {
-                // Fleet replays batch each epoch's re-transpiles together,
-                // so their cells carry no wall time of their own.
+                // Fleet spans are keyed by fleet job, not by cell, so no
+                // cell's time can be read back from the trace.
                 let _ = write!(out, "; fleet runs do not time cells");
             } else if let Some(c) = slowest {
                 // The full deterministic cell label: the point is to know
@@ -246,86 +245,23 @@ impl SweepOutcome {
         merged
     }
 
-    /// The machine-readable mirror of [`SweepOutcome::render`], in the
-    /// shared JSONL dialect (see [`super::read_journal`]): a `sweep-meta`
-    /// header, one `cell` line per cell in ordinal order, `rollup` and
-    /// `verification` summary lines per run, and a `shard-done` trailer.
-    /// Fully deterministic for a given spec and shard slice — a merged
-    /// outcome serializes byte-identically to a single-process run.
+    /// The machine-readable mirror of the outcome, in the journal dialect
+    /// (see [`super::read_journal`]): a `sweep-meta` header, one `cell`
+    /// line per cell in ordinal order, and a `shard-done` trailer. The
+    /// rollups are left out because `sweep merge` re-derives them from the
+    /// cells. Fully deterministic for a given spec and shard slice — a
+    /// merged outcome serializes byte-identically to a single-process run.
     pub fn to_jsonl(&self) -> String {
-        let mut out = String::new();
         let meta = Meta {
             fingerprint: self.fingerprint,
             shards: self.shards,
             shard: self.shard,
         };
-        out.push_str(&checkpoint::meta_line(&meta));
+        let mut out = checkpoint::meta_line(&meta);
         out.push('\n');
         for cell in &self.cells {
             out.push_str(&checkpoint::cell_line(cell));
             out.push('\n');
-        }
-        for run in &self.runs {
-            let head = format!(
-                "\"costing\":\"{}\",\"verify\":\"{}\"",
-                run.costing, run.verify
-            );
-            for g in &run.by_topology {
-                let _ = writeln!(
-                    out,
-                    "{{\"type\":\"rollup\",{head},\"axis\":\"topology\",\"key\":{},\"cells\":{},\"swaps\":{},\"mean_reduction_pct\":{}}}",
-                    json::escape(&g.topology),
-                    g.circuits,
-                    g.total_swaps,
-                    checkpoint::fmt_f64(g.mean_reduction_pct),
-                );
-            }
-            for g in &run.by_calibration {
-                let _ = writeln!(
-                    out,
-                    "{{\"type\":\"rollup\",{head},\"axis\":\"calibration\",\"key\":{},\"cells\":{},\"swaps\":{},\"mean_reduction_pct\":{},\"mean_optimized_ft\":{}}}",
-                    json::escape(&g.calibration),
-                    g.circuits,
-                    g.total_swaps,
-                    checkpoint::fmt_f64(g.mean_reduction_pct),
-                    checkpoint::fmt_f64(g.mean_optimized_ft),
-                );
-            }
-            if let Some(f) = &run.fleet {
-                for e in &f.epochs {
-                    let _ = writeln!(
-                        out,
-                        "{{\"type\":\"fleet\",{head},\"epoch\":{},\"cells\":{},\"fresh\":{},\"kept\":{},\"retranspiled\":{},\"mean_delivered_ft\":{},\"route_reuse_rate\":{}}}",
-                        e.epoch,
-                        e.cells,
-                        e.fresh,
-                        e.kept,
-                        e.retranspiled,
-                        checkpoint::fmt_f64(e.mean_delivered_ft),
-                        checkpoint::fmt_f64(e.route_reuse_rate),
-                    );
-                }
-                let _ = writeln!(
-                    out,
-                    "{{\"type\":\"fleet\",{head},\"summary\":true,\"mean_delivered_ft\":{},\"total_retranspiles\":{},\"retranspile_rate\":{}}}",
-                    checkpoint::fmt_f64(f.mean_delivered_ft),
-                    f.total_retranspiles,
-                    checkpoint::fmt_f64(f.retranspile_rate),
-                );
-            }
-            if let Some(v) = &run.verification {
-                let _ = writeln!(
-                    out,
-                    "{{\"type\":\"verification\",{head},\"exact\":{},\"mps\":{},\"sampled\":{},\"skipped\":{},\"errors\":{},\"failed\":{},\"min_fidelity\":{}}}",
-                    v.exact,
-                    v.mps,
-                    v.sampled,
-                    v.skipped,
-                    v.errors,
-                    v.failed,
-                    checkpoint::fmt_f64(v.min_fidelity),
-                );
-            }
         }
         out.push_str(&checkpoint::done_line(self.cells.len()));
         out.push('\n');

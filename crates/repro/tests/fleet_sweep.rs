@@ -7,6 +7,7 @@
 //! shard splits, and journal resumes cut after any number of cells.
 
 use paradrive_engine::RetranspilePolicy;
+use paradrive_obs::json;
 use paradrive_repro::sweep::{
     merge_reports, read_journal, run_sweep, run_sweep_shard, ShardOptions, SweepOutcome, SweepSpec,
 };
@@ -102,12 +103,29 @@ fn fleet_rollups_land_in_the_rendered_report_and_jsonl_mirror() {
     assert!(text.contains(" ep "), "{text}");
     assert!(text.contains("fresh"), "{text}");
     assert!(text.contains("retrans") || text.contains("kept"), "{text}");
-    // The JSONL mirror carries per-epoch fleet lines plus a summary
-    // line, and still round-trips through the journal reader + merge.
+    // The JSONL mirror is the journal dialect and nothing else: the
+    // header, one cell line per cell in ordinal order, and the trailer.
+    // It round-trips through the journal reader + merge, which re-derives
+    // the fleet rollup from the cells.
     let jsonl = out.to_jsonl();
-    assert!(jsonl.contains("\"type\":\"fleet\""), "{jsonl}");
-    assert!(jsonl.contains("\"route_reuse_rate\""), "{jsonl}");
-    assert!(jsonl.contains("\"summary\":true"), "{jsonl}");
+    let mut ordinals: Vec<u64> = out.cells.iter().map(|c| c.ordinal).collect();
+    ordinals.sort_unstable();
+    let want: Vec<String> = std::iter::once("sweep-meta".to_string())
+        .chain(ordinals.iter().map(|o| format!("cell {o}")))
+        .chain(std::iter::once("shard-done".to_string()))
+        .collect();
+    let got: Vec<String> = jsonl
+        .lines()
+        .map(|line| {
+            let v = json::parse(line).unwrap();
+            let kind = v.get("type").and_then(json::Value::as_str).unwrap_or("?");
+            match v.get("ordinal").and_then(json::Value::as_f64) {
+                Some(o) => format!("{kind} {o}"),
+                None => kind.to_string(),
+            }
+        })
+        .collect();
+    assert_eq!(got, want, "{jsonl}");
     let dir = temp_dir("mirror");
     let path = dir.join("out.jsonl");
     fs::write(&path, &jsonl).unwrap();

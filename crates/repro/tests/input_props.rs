@@ -203,7 +203,8 @@ proptest! {
 }
 
 /// Inputs at the edges of each grammar's numbers: counts that overflow
-/// `usize`, and a non-number where the drift's sigma goes.
+/// `usize`, a non-number where the drift's sigma goes, and trace numbers
+/// that are negative, fractional or past what an `f64` carries exactly.
 #[test]
 fn overflowing_and_non_numeric_parameters_fail_typed() {
     assert!(parse_topology("grid4294967296x4294967296").is_err());
@@ -217,4 +218,22 @@ fn overflowing_and_non_numeric_parameters_fail_typed() {
     let scenario = parse_drift("walknan").expect("nan is a float");
     let cal = Calibration::uniform(&map, FidelityModel::paper());
     assert!(CalibrationTimeline::generate(&cal, &map, &scenario.spec(3, 1)).is_err());
+
+    let span = r#"{"type":"span","name":"route","label":"x","key":-3,"tid":4294967297.9,"start_ns":-1e30,"dur_ns":1.5}"#;
+    let err = Trace::from_jsonl(span).unwrap_err();
+    assert!(err.contains("line 1") && err.contains("`key`"), "{err}");
+    // Each bad field alone, on an otherwise valid span, then a counter.
+    let ok = TRACE.lines().next().unwrap();
+    for (field, from, to) in [
+        ("key", "\"key\":0", "\"key\":9007199254740992"),
+        ("tid", "\"tid\":1", "\"tid\":4294967296"),
+        ("start_ns", "\"start_ns\":224068", "\"start_ns\":-1"),
+        ("dur_ns", "\"dur_ns\":80831", "\"dur_ns\":1.5"),
+    ] {
+        let err = Trace::from_jsonl(&ok.replace(from, to)).unwrap_err();
+        assert!(err.contains(&format!("`{field}`")), "{field}: {err}");
+    }
+    let counter = r#"{"type":"counter","name":"n","value":1e300}"#;
+    let err = Trace::from_jsonl(counter).unwrap_err();
+    assert!(err.contains("`value`"), "{err}");
 }
